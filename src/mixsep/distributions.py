@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import special, stats
+# scipy.stats takes longer to import than the rest of the package, so the
+# four discrete-family methods that use it import it where they need it.
+from scipy import special
 
 from .rng import stream
 
@@ -300,6 +302,8 @@ class Poisson(KnownCdf):
         return out
 
     def _quantile(self, p):
+        from scipy import stats
+
         return np.asarray(stats.poisson.ppf(p, self.rate), dtype=float)
 
     def _sample(self, n, rng):
@@ -307,6 +311,8 @@ class Poisson(KnownCdf):
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Support points and masses, truncated at residual mass 1e-12."""
+        from scipy import stats
+
         kmax = int(stats.poisson.isf(_ATOM_TAIL, self.rate)) + 1
         ks = np.arange(0, kmax + 1, dtype=float)
         return ks, self._density(ks)
@@ -338,6 +344,8 @@ class Binomial(KnownCdf):
         return out
 
     def _density(self, x):
+        from scipy import stats
+
         out = np.zeros_like(x)
         ints = (x >= 0.0) & (x <= self.trials) & (x == np.floor(x))
         k = x[ints]
@@ -345,6 +353,8 @@ class Binomial(KnownCdf):
         return out
 
     def _quantile(self, p):
+        from scipy import stats
+
         return np.asarray(stats.binom.ppf(p, self.trials, self.prob), dtype=float)
 
     def _sample(self, n, rng):

@@ -1,15 +1,17 @@
 """Shape-restricted regression primitives.
 
-Weighted isotonic regression via pool-adjacent-violators, clipping to the
-unit interval, and least concave majorants of finite point sets.  These are
-the projection steps used to turn a raw component-CDF estimate into a valid
-distribution function and, later, into a non-increasing density.
+Weighted isotonic regression (scipy's compiled pool-adjacent-violators
+behind the package's own input checks), clipping to the unit interval, and
+least concave majorants of finite point sets.  These are the projection
+steps used to turn a raw component-CDF estimate into a valid distribution
+function and, later, into a non-increasing density.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import isotonic_regression as _scipy_isotonic_regression
 
 __all__ = [
     "isotonic_regression",
@@ -26,9 +28,10 @@ def isotonic_regression(values, weights=None) -> np.ndarray:
     """Weighted least-squares isotonic regression.
 
     Minimises ``sum(w_i * (theta_i - v_i)**2)`` over non-decreasing
-    ``theta`` using the pool-adjacent-violators algorithm: a single
-    left-to-right pass that keeps a stack of pooled blocks and back-merges
-    whenever a new block average violates monotonicity.  Runs in O(n).
+    ``theta``.  The fit is delegated to
+    :func:`scipy.optimize.isotonic_regression` (compiled
+    pool-adjacent-violators, O(n)); this wrapper keeps the input checks and
+    error messages below, which scipy does not make in the same form.
 
     Parameters
     ----------
@@ -54,8 +57,7 @@ def isotonic_regression(values, weights=None) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    n = v.size
-    if n == 0:
+    if v.size == 0:
         raise ValueError("empty sample")
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
@@ -67,29 +69,7 @@ def isotonic_regression(values, weights=None) -> np.ndarray:
             raise ValueError("weights must match values in length")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("weights must be positive and finite")
-
-    vv = v.tolist()
-    ww = [1.0] * n if w is None else w.tolist()
-
-    # Parallel stacks of pooled blocks: weighted mean, total weight, size.
-    means: list[float] = []
-    wts: list[float] = []
-    counts: list[int] = []
-    for i in range(n):
-        m = vv[i]
-        wt = ww[i]
-        c = 1
-        while means and means[-1] > m:
-            m0 = means.pop()
-            w0 = wts.pop()
-            c += counts.pop()
-            tot = w0 + wt
-            m = (m0 * w0 + m * wt) / tot
-            wt = tot
-        means.append(m)
-        wts.append(wt)
-        counts.append(c)
-    return np.repeat(means, counts)
+    return _scipy_isotonic_regression(v, weights=w).x
 
 
 def clip_unit(seq) -> np.ndarray:

@@ -25,7 +25,6 @@ def main() -> None:
     ap.add_argument("--beta", type=float, default=0.05)
     ap.add_argument("--reps", type=int, default=500)
     ap.add_argument("--seed", type=int, default=1729)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="results/coverage.csv")
     args = ap.parse_args()
 
@@ -43,7 +42,6 @@ def main() -> None:
                     base_seed=args.seed,
                     beta=args.beta,
                     estimators=("lower_bound",),
-                    threads=args.threads,
                 )
                 row = run_replications(cfg).rows[0]
                 w.writerow([setting.strip(), int(n_text), float(alpha_text),

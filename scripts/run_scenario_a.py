@@ -25,7 +25,6 @@ def main() -> None:
     ap.add_argument("--block-size", type=int, default=100)
     ap.add_argument("--reps", type=int, default=200)
     ap.add_argument("--seed", type=int, default=1729)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args()
 
@@ -42,7 +41,6 @@ def main() -> None:
             rho=args.rho,
             block_size=args.block_size,
             estimators=("cn:0.1", "elbow", "lower_bound"),
-            threads=args.threads,
         )
         table = run_replications(cfg)
         text = table.to_csv_text()

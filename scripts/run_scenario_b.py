@@ -29,7 +29,6 @@ def main() -> None:
                     help="lower endpoint of the shift magnitude window")
     ap.add_argument("--reps", type=int, default=200)
     ap.add_argument("--seed", type=int, default=1729)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args()
 
@@ -46,7 +45,6 @@ def main() -> None:
                 dependence_lag=int(lag_text),
                 m_star=args.m_star,
                 estimators=("cn:0.1", "elbow", "lower_bound"),
-                threads=args.threads,
             )
             table = run_replications(cfg)
             text = table.to_csv_text()

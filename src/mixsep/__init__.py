@@ -13,6 +13,7 @@ from .confidence import (
     HomogeneityResult,
     asymptotic_cvm_quantile,
     cached_hn_quantile,
+    critical_value,
     homogeneity_test,
     lower_bound,
     simulate_hn_quantile,
@@ -122,6 +123,7 @@ __all__ = [
     # confidence
     "CriticalValueSpec",
     "HomogeneityResult",
+    "critical_value",
     "simulate_hn_quantile",
     "asymptotic_cvm_quantile",
     "cached_hn_quantile",

@@ -26,10 +26,7 @@ from io import StringIO
 import numpy as np
 
 from . import __version__
-from .confidence import (
-    ASYMPTOTIC_N,
-    CriticalValueSpec,
-)
+from .confidence import critical_value
 from .distributions import KnownCdf, Uniform, parse_distribution
 from .identifiability import MixtureSpec, alpha0_auto, alpha0_continuous, alpha0_discrete
 from .mixture_core import (
@@ -169,13 +166,6 @@ def _provenance(seed: int) -> dict:
     }
 
 
-def _critical_value(n: int, beta: float, seed: int) -> float:
-    if n >= ASYMPTOTIC_N:
-        return CriticalValueSpec(method="asymptotic_cvm", beta=beta).critical_value()
-    spec = CriticalValueSpec(method="monte_carlo", beta=beta, n=n, seed=seed)
-    return spec.critical_value(cache=True)
-
-
 # --- subcommands ----------------------------------------------------------
 
 
@@ -206,7 +196,7 @@ def _cmd_estimate(args) -> int:
     alpha_lower = beta = critical = reject = None
     if not args.skip_lower:
         beta = args.beta
-        critical = _critical_value(sample.n, beta, args.seed)
+        critical = critical_value(sample.n, beta, args.seed, cache=True)
         alpha_lower = estimate_alpha_cn(sample, background, critical)
         reject = alpha_lower > 0.0
 
@@ -340,10 +330,6 @@ def _cmd_simulate(args) -> int:
         raise _InputError(f"{args.config}: invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise _InputError(f"{args.config}: expected a JSON object")
-    if args.threads is not None:
-        if args.threads < 1:
-            raise _InputError("--threads must be at least 1")
-        payload = dict(payload, threads=args.threads)
     try:
         cfg = ScenarioConfig.from_dict(payload)
     except (TypeError, ValueError) as exc:
@@ -461,8 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a simulation configuration")
     p.add_argument("--config", required=True, help="JSON file with the scenario config")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap; overrides the config's threads value")
     p.add_argument("--out-prefix", default=None,
                    help="write <prefix>_metrics.csv and <prefix>_metrics.json "
                         "(default: JSON to stdout)")

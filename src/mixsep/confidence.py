@@ -13,9 +13,12 @@ slower than ``n**-0.5``.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
+import tempfile
 from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +30,7 @@ from .rng import DEFAULT_SEED, stream
 __all__ = [
     "CriticalValueSpec",
     "HomogeneityResult",
+    "critical_value",
     "simulate_hn_quantile",
     "asymptotic_cvm_quantile",
     "lower_bound",
@@ -37,6 +41,14 @@ __all__ = [
 
 # Sample size from which the asymptotic quantile is used by default.
 ASYMPTOTIC_N = 500
+
+# Simulated quantiles kept in memory per process, one float per
+# (n, beta, b, seed) key.
+_MEMO_SIZE = 256
+
+# Uniforms per simulation chunk (512 KB of float64): a chunk holds
+# max(1, _CHUNK_VALUES // n) replications.
+_CHUNK_VALUES = 65_536
 
 # Namespace tag separating the quantile simulation's streams from other
 # subsystems that may share the same base seed.
@@ -100,6 +112,12 @@ class HomogeneityResult:
     beta: float
 
 
+def _check_count(name: str, value) -> None:
+    # bool is an int subclass and floats truncate silently under int().
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def simulate_hn_quantile(n: int, beta: float, b: int = 10_000, seed: int = DEFAULT_SEED) -> float:
     """Upper ``1 - beta`` quantile of ``sqrt(n) * d_n(F_n, F)`` under the null.
 
@@ -108,21 +126,34 @@ def simulate_hn_quantile(n: int, beta: float, b: int = 10_000, seed: int = DEFAU
     lose nothing).  The quantile is the order statistic of rank
     ``ceil(b * (1 - beta))``.  Deterministic given ``seed``; replications
     use independent per-index streams, so any evaluation order gives the
-    same result.
+    same result.  Each ``(n, beta, b, seed)`` is simulated once per
+    process and then served from memory; the disk cache that persists
+    across processes is :func:`cached_hn_quantile`, which the CLI uses.
     """
+    _check_count("n", n)
+    _check_count("b", b)
     if n < 1:
         raise ValueError("n must be at least 1")
     if not (0.0 < beta < 1.0):
         raise ValueError("beta must lie in (0, 1)")
     if b < 1000:
         raise ValueError("need at least 1000 replications for a stable quantile")
+    return _hn_quantile(int(n), float(beta), int(b), int(seed))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _hn_quantile(n: int, beta: float, b: int, seed: int) -> float:
     grid = np.arange(1, n + 1, dtype=float) / n
+    rows = max(1, _CHUNK_VALUES // n)
+    buf = np.empty((rows, n))
     stats = np.empty(b)
-    for rep in range(b):
-        u = stream(seed, _NS_HN, rep).random(n)
-        u.sort()
-        diff = grid - u
-        stats[rep] = math.sqrt(n * float(np.mean(diff * diff)))
+    for start in range(0, b, rows):
+        chunk = buf[:min(rows, b - start)]
+        for i, row in enumerate(chunk):
+            stream(seed, _NS_HN, start + i).random(out=row)
+        chunk.sort(axis=1)
+        diff = grid - chunk
+        stats[start:start + len(chunk)] = np.sqrt(n * np.mean(diff * diff, axis=1))
     rank = math.ceil(b * (1.0 - beta))
     return float(np.partition(stats, rank - 1)[rank - 1])
 
@@ -152,10 +183,29 @@ def asymptotic_cvm_quantile(beta: float, interpolate: bool = False) -> float:
     return float(np.interp(beta, levels, [_SQRT_CVM_QUANTILES[l] for l in levels]))
 
 
-def _default_spec(n: int, beta: float, seed: int = DEFAULT_SEED) -> CriticalValueSpec:
+def critical_value(n: int, beta: float, seed: int = DEFAULT_SEED, cache: bool = False) -> float:
+    """Default threshold for a sample of size ``n`` at level ``beta``.
+
+    From ``n = ASYMPTOTIC_N`` on this is the asymptotic quantile; below it,
+    the Monte Carlo quantile with the default ``b`` replications and the
+    given ``seed``, read from and written to the disk cache when ``cache``
+    is true.
+    """
     if n >= ASYMPTOTIC_N:
-        return CriticalValueSpec(method="asymptotic_cvm", beta=beta)
-    return CriticalValueSpec(method="monte_carlo", beta=beta, n=n, seed=seed)
+        return asymptotic_cvm_quantile(beta)
+    if cache:
+        return cached_hn_quantile(n, beta, seed=seed)
+    return simulate_hn_quantile(n, beta, seed=seed)
+
+
+def _threshold(sample: SortedSample, beta: float, spec: CriticalValueSpec | None) -> float:
+    if not (0.0 < beta < 1.0):
+        raise ValueError("beta must lie in (0, 1)")
+    if spec is None:
+        return critical_value(sample.n, beta)
+    if not math.isclose(spec.beta, beta, rel_tol=0.0, abs_tol=1e-12):
+        raise ValueError("beta disagrees with spec.beta")
+    return spec.critical_value()
 
 
 def lower_bound(
@@ -173,13 +223,7 @@ def lower_bound(
     an explicit ``spec``, samples of size >= 500 use the asymptotic
     quantile and smaller ones a Monte Carlo quantile.
     """
-    if not (0.0 < beta < 1.0):
-        raise ValueError("beta must lie in (0, 1)")
-    if spec is None:
-        spec = _default_spec(sample.n, beta)
-    elif not math.isclose(spec.beta, beta, rel_tol=0.0, abs_tol=1e-12):
-        raise ValueError("beta disagrees with spec.beta")
-    return estimate_alpha_cn(sample, background, spec.critical_value())
+    return estimate_alpha_cn(sample, background, _threshold(sample, beta, spec))
 
 
 def homogeneity_test(
@@ -195,13 +239,7 @@ def homogeneity_test(
     quantile.  Consistent against fixed alternatives and against sparse
     ones with proportion ``~ n**-lambda`` for lambda < 1/2.
     """
-    if not (0.0 < beta < 1.0):
-        raise ValueError("beta must lie in (0, 1)")
-    if spec is None:
-        spec = _default_spec(sample.n, beta)
-    elif not math.isclose(spec.beta, beta, rel_tol=0.0, abs_tol=1e-12):
-        raise ValueError("beta disagrees with spec.beta")
-    c_n = spec.critical_value()
+    c_n = _threshold(sample, beta, spec)
     fb = np.asarray(background.cdf(sample.values), dtype=float)
     stat = math.sqrt(sample.n) * _criterion_from_parts(sample.ecdf, fb, 0.0)
     if stat <= c_n:
@@ -236,28 +274,49 @@ def cached_hn_quantile(
     """Like :func:`simulate_hn_quantile` but memoised on disk.
 
     Rows are keyed by ``(n, beta, B, seed)`` in a small CSV so repeated
-    command-line runs with the same configuration skip the simulation.
+    command-line runs with the same configuration skip the simulation.  A
+    new row is written by replacing the whole file atomically.
     """
     path = resolve_cache_path(cache_dir)
     key = (int(n), repr(float(beta)), int(b), int(seed))
-    if path.exists():
+    try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row or row[0] == _CACHE_HEADER[0]:
-                    continue
-                try:
-                    row_key = (int(row[0]), repr(float(row[1])), int(row[2]), int(row[3]))
-                except (ValueError, IndexError):
-                    continue
-                if row_key == key:
-                    return float(row[4])
+            text = fh.read()
+    except FileNotFoundError:
+        text = ""
+    for row in csv.reader(StringIO(text)):
+        if not row or row[0] == _CACHE_HEADER[0]:
+            continue
+        try:
+            row_key = (int(row[0]), repr(float(row[1])), int(row[2]), int(row[3]))
+        except (ValueError, IndexError):
+            continue
+        if row_key == key:
+            return float(row[4])
     value = simulate_hn_quantile(n, beta, b, seed)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fresh = not path.exists()
-    with open(path, "a", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if fresh:
-            writer.writerow(_CACHE_HEADER)
-        writer.writerow([n, repr(float(beta)), b, seed, repr(value)])
+    _write_cache(path, text, [n, repr(float(beta)), b, seed, repr(value)])
     return value
+
+
+def _write_cache(path: Path, text: str, row: list) -> None:
+    """Replace the cache file by ``text`` plus ``row`` in one rename.
+
+    Concurrent writers cannot interleave rows; at worst one writer's new
+    row is lost and simulated again on a later miss.
+    """
+    buf = StringIO()
+    writer = csv.writer(buf)
+    if not text:
+        writer.writerow(_CACHE_HEADER)
+    elif not text.endswith("\n"):
+        buf.write("\r\n")
+    writer.writerow(row)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text + buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

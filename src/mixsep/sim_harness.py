@@ -14,19 +14,18 @@ Four data-generating processes are built in:
   Normal(0,1), resp. Beta(1,10) vs Uniform(0,1).
 
 Replications use independent per-index streams keyed off the base seed, so
-results are bit-identical regardless of evaluation order or thread count.
+results are bit-identical regardless of evaluation order.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from io import StringIO
 
 import numpy as np
 from scipy import special
 
-from .confidence import ASYMPTOTIC_N, asymptotic_cvm_quantile, simulate_hn_quantile
+from .confidence import critical_value
 from .distributions import Beta, KnownCdf, Normal, Uniform
 from .identifiability import essinf_density_ratio
 from .mixture_core import (
@@ -91,7 +90,6 @@ class ScenarioConfig:
     estimators: tuple[str, ...] = ("cn:0.1", "elbow", "lower_bound")
     beta: float = 0.05
     curve_grid: int = 200
-    threads: int = 1
 
     def __post_init__(self):
         if self.scenario not in _SCENARIOS:
@@ -116,8 +114,6 @@ class ScenarioConfig:
             raise ValueError("beta must lie in (0, 1)")
         if self.curve_grid < 10:
             raise ValueError("curve_grid must be at least 10")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
         if not self.estimators:
             raise ValueError("at least one estimator is required")
         for spec in self.estimators:
@@ -338,26 +334,19 @@ class MetricsTable:
         }
 
 
-def _lower_bound_critical_value(cfg: ScenarioConfig) -> float:
-    if cfg.n >= ASYMPTOTIC_N:
-        return asymptotic_cvm_quantile(cfg.beta)
-    return simulate_hn_quantile(cfg.n, cfg.beta, 10_000, cfg.base_seed)
-
-
 def run_replications(cfg: ScenarioConfig) -> MetricsTable:
     """Run the configured experiment and summarise each estimator.
 
     Point estimators report mean and RMSE against the scenario's
     identifiable proportion; the lower confidence bound also reports
     coverage (the fraction of replications with bound <= alpha_0).  The
-    result is bit-identical for a given ``base_seed`` whatever ``threads``
-    is set to.
+    result is bit-identical for a given ``base_seed``.
     """
     background = background_for(cfg)
     alpha0 = alpha0_reference(cfg)
     parsed = [(_parse_estimator(spec), spec) for spec in cfg.estimators]
     needs_lower = any(kind == "lower_bound" for (kind, _), _ in parsed)
-    c_lower = _lower_bound_critical_value(cfg) if needs_lower else None
+    c_lower = critical_value(cfg.n, cfg.beta, cfg.base_seed) if needs_lower else None
 
     def one_rep(rep: int) -> dict[str, float]:
         sample = SortedSample.from_data(generate(cfg, rep))
@@ -378,11 +367,7 @@ def run_replications(cfg: ScenarioConfig) -> MetricsTable:
                 out[spec] = estimate_alpha_cn(sample, background, c_lower)
         return out
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            per_rep = list(pool.map(one_rep, range(cfg.replications)))
-    else:
-        per_rep = [one_rep(rep) for rep in range(cfg.replications)]
+    per_rep = [one_rep(rep) for rep in range(cfg.replications)]
 
     rows = []
     for (kind, _), spec in parsed:

@@ -156,20 +156,15 @@ def test_simulate_writes_metrics(tmp_path):
     assert len(csv_lines) == 1 + len(metrics["rows"])
 
 
-def test_simulate_threads_flag_does_not_change_results(tmp_path):
+def test_simulate_rejects_threads(tmp_path, capsys):
     cfgp = tmp_path / "cfg.json"
-    cfgp.write_text(json.dumps({
-        "scenario": "setting_ii", "n": 300, "alpha": 0.1,
-        "replications": 6, "base_seed": 7,
-    }))
-    one = str(tmp_path / "one")
-    two = str(tmp_path / "two")
-    assert main(["simulate", "--config", str(cfgp), "--out-prefix", one]) == 0
-    assert main(["simulate", "--config", str(cfgp), "--threads", "2",
-                 "--out-prefix", two]) == 0
-    a = json.loads(open(one + "_metrics.json").read())
-    b = json.loads(open(two + "_metrics.json").read())
-    assert a["rows"] == b["rows"]
+    cfgp.write_text(json.dumps({"scenario": "setting_ii", "n": 300, "alpha": 0.1,
+                                "threads": 2}))
+    assert main(["simulate", "--config", str(cfgp)]) == 2
+    assert "unknown config keys: ['threads']" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfgp), "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_simulate_rejects_bad_config(tmp_path):

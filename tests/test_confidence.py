@@ -1,13 +1,18 @@
 """Null quantile simulation, asymptotic table and the lower confidence bound."""
+import csv
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import mixsep.confidence as confidence
 from mixsep.confidence import (
     CriticalValueSpec,
     asymptotic_cvm_quantile,
     cached_hn_quantile,
+    critical_value,
     homogeneity_test,
     lower_bound,
     resolve_cache_path,
@@ -15,9 +20,116 @@ from mixsep.confidence import (
 )
 from mixsep.distributions import Beta, Uniform
 from mixsep.mixture_core import SortedSample
-from mixsep.rng import stream
+from mixsep.rng import DEFAULT_SEED, stream
 
 UNIF = Uniform(0.0, 1.0)
+
+
+def loop_hn_stats(n, b, seed):
+    """The original one-replication-at-a-time simulation, kept as an oracle."""
+    grid = np.arange(1, n + 1, dtype=float) / n
+    stats = np.empty(b)
+    for rep in range(b):
+        u = stream(seed, confidence._NS_HN, rep).random(n)
+        u.sort()
+        diff = grid - u
+        stats[rep] = math.sqrt(n * float(np.mean(diff * diff)))
+    return stats
+
+
+def loop_hn_quantile(n, beta, b, seed):
+    stats = loop_hn_stats(n, b, seed)
+    rank = math.ceil(b * (1.0 - beta))
+    return float(np.partition(stats, rank - 1)[rank - 1])
+
+
+@pytest.fixture()
+def stream_calls(monkeypatch):
+    """Empty the quantile memo and count the streams the simulation draws."""
+    confidence._hn_quantile.cache_clear()
+    calls = []
+
+    def counting(seed, *key):
+        calls.append(key)
+        return stream(seed, *key)
+
+    monkeypatch.setattr(confidence, "stream", counting)
+    yield calls
+    confidence._hn_quantile.cache_clear()
+
+
+@pytest.mark.parametrize("n, beta, b, seed", [
+    (1, 0.05, 1001, 0),
+    (7, 0.10, 1001, 3),
+    (60, 0.01, 2000, DEFAULT_SEED),
+    (499, 0.05, 1001, 5),
+    (499, 0.20, 1000, 11),
+    (5000, 0.05, 1001, 2),
+])
+def test_chunked_quantile_equals_per_replication_loop(n, beta, b, seed):
+    # b = 1001 is no multiple of the chunk's row count at any of these n
+    assert simulate_hn_quantile(n, beta, b, seed) == loop_hn_quantile(n, beta, b, seed)
+
+
+def test_chunked_quantile_equals_loop_at_every_tested_rank():
+    # a replication dropped or repeated at a chunk boundary shifts the
+    # order statistics above it, so check ranks across the whole range
+    stats = np.sort(loop_hn_stats(499, 1001, 8))
+    for beta in (0.0005, 0.01, 0.25, 0.5, 0.75, 0.9995):
+        rank = math.ceil(1001 * (1.0 - beta))
+        assert simulate_hn_quantile(499, beta, 1001, 8) == stats[rank - 1]
+
+
+def test_repeated_quantile_is_not_simulated_again(stream_calls):
+    first = simulate_hn_quantile(90, 0.05, b=1000, seed=4)
+    assert len(stream_calls) == 1000
+    assert simulate_hn_quantile(90, 0.05, b=1000, seed=4) == first
+    assert len(stream_calls) == 1000
+    # any change of key simulates afresh
+    simulate_hn_quantile(90, 0.05, b=1000, seed=5)
+    assert len(stream_calls) == 2000
+
+
+def test_lower_bound_and_homogeneity_test_share_one_simulation(stream_calls):
+    s = pure_background(120, seed=14)
+    bound = lower_bound(s, UNIF, beta=0.05)
+    res = homogeneity_test(s, UNIF, beta=0.05)
+    assert len(stream_calls) == 10_000
+    assert res.alpha_lower == bound
+    assert res.critical_value == critical_value(120, 0.05)
+
+
+def test_quantile_checks_survive_a_memo_hit():
+    simulate_hn_quantile(40, 0.05, b=1000, seed=1)
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        simulate_hn_quantile(0, 0.05, b=1000, seed=1)
+    with pytest.raises(ValueError, match="beta"):
+        simulate_hn_quantile(40, 1.5, b=1000, seed=1)
+    with pytest.raises(ValueError, match="replications"):
+        simulate_hn_quantile(40, 0.05, b=999, seed=1)
+    with pytest.raises(ValueError, match="seed"):
+        simulate_hn_quantile(40, 0.05, b=1000, seed=-1)
+
+
+def test_quantile_rejects_non_integral_sizes():
+    with pytest.raises(ValueError, match="n must be an integer"):
+        simulate_hn_quantile(100.5, 0.05, 1000)
+    with pytest.raises(ValueError, match="b must be an integer"):
+        simulate_hn_quantile(100, 0.05, b=1000.0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        simulate_hn_quantile(True, 0.05, 1000)
+    # numpy integers are integers
+    assert simulate_hn_quantile(np.int64(30), 0.05, np.int32(1000)) == \
+        simulate_hn_quantile(30, 0.05, 1000)
+
+
+def test_critical_value_policy():
+    assert critical_value(500, 0.05) == asymptotic_cvm_quantile(0.05)
+    assert critical_value(499, 0.05, seed=3) == simulate_hn_quantile(499, 0.05, 10_000, 3)
+    assert critical_value(200, 0.10) == \
+        CriticalValueSpec(method="monte_carlo", beta=0.10, n=200).critical_value()
+    with pytest.raises(ValueError, match="tabulated only"):
+        critical_value(800, 0.07)
 
 
 def test_simulated_quantile_is_deterministic():
@@ -80,6 +192,77 @@ def test_cache_distinguishes_parameters(tmp_path):
     lines = (tmp_path / "hn_quantiles.csv").read_text().strip().splitlines()
     assert len(lines) == 3  # header + two entries
     assert a != b
+
+
+def test_cache_write_replaces_the_file(tmp_path, monkeypatch):
+    path = tmp_path / "hn_quantiles.csv"
+    cached_hn_quantile(70, 0.05, 1000, 1, cache_dir=tmp_path)
+    before = path.read_bytes()
+    # a failed replace leaves the old file whole and no temp file behind
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(confidence.os, "replace", broken_replace)
+    with pytest.raises(OSError, match="disk full"):
+        cached_hn_quantile(70, 0.10, 1000, 1, cache_dir=tmp_path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hn_quantiles.csv"]
+    monkeypatch.undo()
+    b = cached_hn_quantile(70, 0.10, 1000, 1, cache_dir=tmp_path)
+    assert path.read_bytes().startswith(before)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hn_quantiles.csv"]
+    assert cached_hn_quantile(70, 0.10, 1000, 1, cache_dir=tmp_path) == b
+
+
+def test_concurrent_cache_writes_leave_a_well_formed_file(tmp_path, monkeypatch):
+    # every writer misses, then all of them write at once
+    keys = [(50, 0.05, 1000, seed) for seed in range(8)]
+    barrier = threading.Barrier(len(keys), timeout=30)
+
+    def simulate_after_all_missed(n, beta, b, seed):
+        barrier.wait()
+        return seed + 0.5
+
+    monkeypatch.setattr(confidence, "simulate_hn_quantile", simulate_after_all_missed)
+    errors = []
+
+    def worker(key):
+        try:
+            cached_hn_quantile(*key, cache_dir=tmp_path)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in keys]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    # rows may be lost to a later writer, never torn or duplicated
+    with open(tmp_path / "hn_quantiles.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["n", "beta", "B", "seed", "quantile"]
+    assert 1 <= len(rows) - 1 <= len(keys)
+    for n, beta, b, seed, q in rows[1:]:
+        assert (int(n), float(beta), int(b), int(seed)) in keys
+        assert float(q) == int(seed) + 0.5
+    assert len({tuple(r) for r in rows}) == len(rows)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hn_quantiles.csv"]
+
+
+def test_cache_appends_after_a_row_without_newline(tmp_path):
+    path = tmp_path / "hn_quantiles.csv"
+    path.write_text("n,beta,B,seed,quantile\r\n70,0.05,1000,1,0.5", newline="")
+    q = cached_hn_quantile(70, 0.10, 1000, 1, cache_dir=tmp_path)
+    assert cached_hn_quantile(70, 0.05, 1000, 1, cache_dir=tmp_path) == 0.5
+    assert cached_hn_quantile(70, 0.10, 1000, 1, cache_dir=tmp_path) == q
+    assert len(path.read_text().splitlines()) == 3
 
 
 def pure_background(n, seed):

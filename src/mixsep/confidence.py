@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import KnownCdf
-from .mixture_core import SortedSample, estimate_alpha_cn, _criterion_from_parts
+from .mixture_core import SortedSample, estimate_alpha_cn
 from .rng import DEFAULT_SEED, stream
 
 __all__ = [
@@ -240,10 +240,6 @@ def homogeneity_test(
     ones with proportion ``~ n**-lambda`` for lambda < 1/2.
     """
     c_n = _threshold(sample, beta, spec)
-    fb = np.asarray(background.cdf(sample.values), dtype=float)
-    stat = math.sqrt(sample.n) * _criterion_from_parts(sample.ecdf, fb, 0.0)
-    if stat <= c_n:
-        return HomogeneityResult(reject=False, alpha_lower=0.0, critical_value=c_n, beta=beta)
     bound = estimate_alpha_cn(sample, background, c_n)
     return HomogeneityResult(reject=bound > 0.0, alpha_lower=bound, critical_value=c_n, beta=beta)
 

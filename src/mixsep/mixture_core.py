@@ -172,19 +172,51 @@ def naive_component_values(sample: SortedSample, background: KnownCdf, gamma: fl
     return (sample.ecdf - (1.0 - gamma) * fb) / gamma
 
 
-def _naive_from_parts(ecdf: np.ndarray, fb: np.ndarray, gamma: float) -> np.ndarray:
-    return (ecdf - (1.0 - gamma) * fb) / gamma
+class _Criterion:
+    """The criterion of one sample against one background, as a function of gamma.
 
+    Built once per public call and then called once per gamma.  It keeps
+    ``D = F_n - F_b`` and ``f = F_b`` at the end of each run of points
+    whose value and ecdf are both equal (such points share every
+    coordinate of the naive vector, so isotonic regression treats the run
+    as one point weighted by its length).  Since isotonic regression is
+    positively homogeneous, ``gamma * naive = D + gamma * f`` is
+    projected directly and clipped to ``[0, gamma]``, with no division.
+    """
 
-def _criterion_from_parts(ecdf: np.ndarray, fb: np.ndarray, gamma: float) -> float:
-    """Criterion value using precomputed background CDF values."""
-    if gamma == 0.0:
-        diff = ecdf - fb
-        return math.sqrt(float(np.mean(diff * diff)))
-    naive = _naive_from_parts(ecdf, fb, gamma)
-    fitted = clip_unit(isotonic_regression(naive))
-    diff = fitted - naive
-    return gamma * math.sqrt(float(np.mean(diff * diff)))
+    def __init__(self, sample: SortedSample, background: KnownCdf):
+        values, ecdf = sample.values, sample.ecdf
+        fb = np.asarray(background.cdf(values), dtype=float)
+        if not np.all(np.isfinite(fb)):
+            raise ValueError("values must be finite")
+        new_run = (values[1:] != values[:-1]) | (ecdf[1:] != ecdf[:-1])
+        if new_run.all():
+            self._weights = None
+        else:
+            ends = np.flatnonzero(np.append(new_run, True))
+            self._weights = np.diff(ends, prepend=-1).astype(float)
+            ecdf, fb = ecdf[ends], fb[ends]
+        self._d = ecdf - fb
+        self._f = fb
+        self._n = sample.n
+        self._y = np.empty_like(fb)
+
+    def _rms(self, r: np.ndarray) -> float:
+        """Weighted root mean square over the n sample points; squares ``r`` in place."""
+        r *= r
+        total = r.sum() if self._weights is None else self._weights @ r
+        return math.sqrt(float(total) / self._n)
+
+    def __call__(self, gamma: float) -> float:
+        if gamma == 0.0:
+            # The fit is clipped to [0, 0]: the distance from F_n to F_b.
+            return self._rms(self._d.copy())
+        y = np.multiply(self._f, gamma, out=self._y)
+        y += self._d
+        r = isotonic_regression(y, self._weights)
+        np.clip(r, 0.0, gamma, out=r)
+        r -= y
+        return self._rms(r)
 
 
 def isotonized_cdf(sample: SortedSample, background: KnownCdf, gamma: float) -> StepCdf:
@@ -211,22 +243,30 @@ def criterion(sample: SortedSample, background: KnownCdf, gamma: float) -> float
     best fitting mixture with proportion ``gamma``; the convention at
     ``gamma == 0`` is the distance between the empirical CDF and the
     background.  Non-increasing and convex in ``gamma``.
+
+    Points that share both their value and their ecdf enter the isotonic
+    projection once, weighted by their count, which gives the same fit as
+    projecting them one by one.  Raises ``ValueError`` when the background
+    CDF is not finite at every sample point, whatever ``gamma``.
     """
     if not (0.0 <= gamma <= 1.0):
         raise ValueError("gamma must lie in [0, 1]")
-    fb = np.asarray(background.cdf(sample.values), dtype=float)
-    return _criterion_from_parts(sample.ecdf, fb, gamma)
+    return _Criterion(sample, background)(gamma)
 
 
 def criterion_curve(sample: SortedSample, background: KnownCdf, grid_size: int = 200) -> CriterionCurve:
-    """Criterion evaluated on the uniform grid ``k / grid_size``, k = 1..grid_size."""
+    """Criterion evaluated on the uniform grid ``k / grid_size``, k = 1..grid_size.
+
+    The background CDF is evaluated once and tied points are collapsed
+    once, as in :func:`criterion`: each grid point costs one isotonic
+    projection over the distinct (value, ecdf) pairs, weighted by their
+    counts.
+    """
     if grid_size < 10:
         raise ValueError("grid_size must be at least 10")
-    fb = np.asarray(background.cdf(sample.values), dtype=float)
+    crit = _Criterion(sample, background)
     gammas = np.arange(1, grid_size + 1, dtype=float) / grid_size
-    values = np.empty(grid_size)
-    for k, g in enumerate(gammas.tolist()):
-        values[k] = _criterion_from_parts(sample.ecdf, fb, g)
+    values = np.array([crit(g) for g in gammas.tolist()])
     h = 1.0 / grid_size
     second = (values[:-2] - 2.0 * values[1:-1] + values[2:]) / (h * h)
     return CriterionCurve(gammas=gammas, values=values, second_differences=second)
@@ -255,17 +295,16 @@ def estimate_alpha_cn(sample: SortedSample, background: KnownCdf, c_n: float) ->
     """
     if c_n <= 0.0 or not math.isfinite(c_n):
         raise ValueError("c_n must be positive")
-    fb = np.asarray(background.cdf(sample.values), dtype=float)
-    root_n = math.sqrt(sample.n)
-    threshold = c_n / root_n
-    if _criterion_from_parts(sample.ecdf, fb, 0.0) <= threshold:
+    crit = _Criterion(sample, background)
+    threshold = c_n / math.sqrt(sample.n)
+    if crit(0.0) <= threshold:
         return 0.0
     lo, hi = 0.0, 1.0  # criterion(1) == 0 < threshold, so hi stays feasible
     for _ in range(_BISECT_MAX_ITER):
         if hi - lo <= _BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if _criterion_from_parts(sample.ecdf, fb, mid) <= threshold:
+        if crit(mid) <= threshold:
             hi = mid
         else:
             lo = mid

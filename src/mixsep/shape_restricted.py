@@ -194,6 +194,12 @@ def least_concave_majorant(knots, values) -> PiecewiseLinearConcaveFn:
     if np.any(np.diff(x) <= 0.0):
         raise ValueError("knots must be strictly increasing (ties rejected)")
 
+    # A point whose two neighbours share its value lies on the chord between
+    # them, so it is never a hull vertex: drop such points before the loop.
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:-1] = (y[1:-1] != y[:-2]) | (y[1:-1] != y[2:])
+    x, y = x[keep], y[keep]
+
     hx: list[float] = []
     hy: list[float] = []
     for xi, yi in zip(x.tolist(), y.tolist()):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixsep.distributions import Beta, Normal, Uniform
+import mixsep.mixture_core as mixture_core
+from mixsep.distributions import Beta, Normal, Tabulated, Uniform
 from mixsep.mixture_core import (
     CriterionCurve,
     NoElbowError,
@@ -21,6 +22,7 @@ from mixsep.mixture_core import (
     naive_component_values,
 )
 from mixsep.rng import stream
+from mixsep.shape_restricted import clip_unit, isotonic_regression
 
 UNIF = Uniform(0.0, 1.0)
 
@@ -35,6 +37,18 @@ def beta_uniform_sample(n, alpha, seed):
 
 def mixture_cdf(x, alpha):
     return alpha * Beta(1, 10).cdf(x) + (1 - alpha) * UNIF.cdf(x)
+
+
+def loop_criterion(sample, background, gamma):
+    """The criterion computed point by point, one full-length projection of
+    the naive vector ``(F_n - (1 - gamma) F_b) / gamma`` per gamma: the
+    definition, with no tie collapse and no rescaling."""
+    fb = np.asarray(background.cdf(sample.values), dtype=float)
+    if gamma == 0.0:
+        return math.sqrt(np.mean((sample.ecdf - fb) ** 2))
+    naive = (sample.ecdf - (1.0 - gamma) * fb) / gamma
+    gap = clip_unit(isotonic_regression(naive)) - naive
+    return gamma * math.sqrt(np.mean(gap * gap))
 
 
 # --- sorted sample ------------------------------------------------------------
@@ -120,6 +134,150 @@ def test_criterion_bounded_by_distance_to_true_mixture(seed):
     d_truth = math.sqrt(np.mean((s.ecdf - mixture_cdf(s.values, alpha)) ** 2))
     for gamma in (alpha, 0.5, 0.8, 1.0):
         assert criterion(s, UNIF, gamma) <= d_truth + 1e-12
+
+
+def _continuous(n, seed):
+    return SortedSample.from_data(stream(seed, 61).random(n))
+
+
+def _rounded(n, seed, decimals):
+    return SortedSample.from_data(np.round(beta_uniform_sample(n, 0.2, seed).values, decimals))
+
+
+def _hand_built(n, seed):
+    # Values rounded to 2 decimals with the ecdf stepping once per pair of
+    # points (n even): a run of tied values is split wherever a pair ends,
+    # which SortedSample.from_data never produces.
+    values = np.round(np.sort(stream(seed, 62).random(n)), 2)
+    ecdf = (2 * (np.arange(n) // 2) + 2) / n
+    return SortedSample(values=values, ecdf=ecdf)
+
+
+_TABLE_XS = np.linspace(-4.0, 4.0, 41)
+_CASES = {
+    "continuous": (lambda: _continuous(700, 1), UNIF),
+    "rounded_2": (lambda: _rounded(900, 2, 2), UNIF),
+    "rounded_3": (lambda: _rounded(900, 3, 3), UNIF),
+    "normal": (lambda: SortedSample.from_data(stream(4, 63).normal(0.5, 1.2, 600)),
+               Normal(0.0, 1.0)),
+    "normal_rounded": (lambda: SortedSample.from_data(
+        np.round(stream(5, 63).normal(0.5, 1.2, 600), 2)), Normal(0.0, 1.0)),
+    "tabulated": (lambda: SortedSample.from_data(np.round(stream(6, 64).normal(0.3, 1.0, 500), 3)),
+                  Tabulated(_TABLE_XS, Normal(0.0, 1.0).cdf(_TABLE_XS) / Normal(0.0, 1.0).cdf(4.0))),
+    "tabulated_step": (lambda: SortedSample.from_data(stream(7, 64).normal(0.3, 1.0, 500)),
+                       Tabulated(_TABLE_XS, Normal(0.0, 1.0).cdf(_TABLE_XS) / Normal(0.0, 1.0).cdf(4.0),
+                                 mode="step")),
+    "hand_built": (lambda: _hand_built(400, 8), UNIF),
+}
+
+
+@pytest.fixture()
+def projections(monkeypatch):
+    """Sizes of the inputs that mixture_core hands to isotonic_regression."""
+    sizes = []
+
+    def counting(values, weights=None):
+        sizes.append(len(values))
+        return isotonic_regression(values, weights)
+
+    monkeypatch.setattr(mixture_core, "isotonic_regression", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_criterion_and_curve_match_pointwise_oracle(case):
+    make, background = _CASES[case]
+    s = make()
+    curve = criterion_curve(s, background, 200)
+    want = [loop_criterion(s, background, g) for g in curve.gammas.tolist()]
+    np.testing.assert_allclose(curve.values, want, rtol=0.0, atol=1e-12)
+    for g in (0.0, 0.013, 0.2, 0.5, 0.77, 1.0):
+        assert criterion(s, background, g) == pytest.approx(loop_criterion(s, background, g), abs=1e-12)
+
+
+def test_hand_built_sample_keeps_ties_with_different_ecdf_apart(projections):
+    s = SortedSample(values=[0.1, 0.2, 0.2, 0.2, 0.5, 0.5, 0.9],
+                     ecdf=[1 / 7, 2 / 7, 3 / 7, 4 / 7, 6 / 7, 6 / 7, 1.0])
+    for g in np.linspace(0.0, 1.0, 41).tolist():
+        assert criterion(s, UNIF, g) == pytest.approx(loop_criterion(s, UNIF, g), abs=1e-12)
+    # only the two points at 0.5 share both value and ecdf
+    assert set(projections) == {6}
+
+
+class _NanCdf:
+    """A background whose CDF is not finite at the sample points."""
+
+    def cdf(self, x):
+        return np.full(np.shape(x), np.nan)
+
+
+def test_non_finite_background_raises_at_every_gamma():
+    s = beta_uniform_sample(50, 0.2, seed=7)
+    calls = [lambda g=g: criterion(s, _NanCdf(), g) for g in (0.0, 0.3, 1.0)]
+    calls += [lambda: criterion_curve(s, _NanCdf(), 20), lambda: estimate_alpha_cn(s, _NanCdf(), 1.0)]
+    for call in calls:
+        with pytest.raises(ValueError, match="values must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("decimals", [None, 3, 2])
+def test_curve_projects_once_per_gamma_over_distinct_values(projections, decimals):
+    x = beta_uniform_sample(2000, 0.2, seed=9).values
+    if decimals is not None:
+        x = np.round(x, decimals)
+    s = SortedSample.from_data(x)
+    k = np.unique(s.values).size
+    criterion_curve(s, UNIF, grid_size=200)
+    assert len(projections) == 200
+    assert set(projections) == {k}
+    if decimals is not None:
+        assert k < s.n
+
+
+def test_background_cdf_is_evaluated_once_per_call(monkeypatch):
+    s = beta_uniform_sample(500, 0.2, seed=10)
+    calls = []
+    raw = Uniform.cdf
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return raw(self, x)
+
+    monkeypatch.setattr(Uniform, "cdf", counting)
+    criterion_curve(s, UNIF, 200)
+    estimate_alpha_cn(s, UNIF, default_cn(s.n))
+    assert calls == [s.n, s.n]
+
+
+# --- metamorphic laws ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("decimals", [None, 2])
+def test_duplicating_every_observation_changes_nothing(decimals):
+    x = beta_uniform_sample(400, 0.2, seed=12).values
+    if decimals is not None:
+        x = np.round(x, decimals)
+    s = SortedSample.from_data(x)
+    twice = SortedSample.from_data(np.concatenate([x, x]))
+    np.testing.assert_allclose(criterion_curve(twice, UNIF, 200).values,
+                               criterion_curve(s, UNIF, 200).values, rtol=0.0, atol=1e-12)
+    # same threshold on the criterion scale: c_n / sqrt(n) is unchanged
+    c_n = default_cn(s.n)
+    assert estimate_alpha_cn(twice, UNIF, c_n * math.sqrt(2.0)) == pytest.approx(
+        estimate_alpha_cn(s, UNIF, c_n), abs=1e-12)
+
+
+@pytest.mark.parametrize("decimals", [None, 2])
+def test_permuting_the_input_changes_nothing(decimals):
+    x = beta_uniform_sample(400, 0.2, seed=13).values
+    if decimals is not None:
+        x = np.round(x, decimals)
+    shuffled = stream(13, 65).permutation(x)
+    s, t = SortedSample.from_data(x), SortedSample.from_data(shuffled)
+    np.testing.assert_array_equal(criterion_curve(t, UNIF, 200).values,
+                                  criterion_curve(s, UNIF, 200).values)
+    c_n = default_cn(s.n)
+    assert estimate_alpha_cn(t, UNIF, c_n) == estimate_alpha_cn(s, UNIF, c_n)
 
 
 def test_criterion_curve_monotone_convex():

@@ -168,6 +168,24 @@ def test_pava_preserves_weighted_mass(pairs):
     assert np.dot(ws, fit) == pytest.approx(np.dot(ws, ys), abs=1e-9 * (1 + abs(np.dot(ws, ys))))
 
 
+def loop_lcm(x, y):
+    """Upper hull by one left-to-right pass over every point, with no
+    pre-filter: the majorant's loop before flat runs were dropped."""
+    hx: list[float] = []
+    hy: list[float] = []
+    for xi, yi in zip(np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist()):
+        while len(hx) >= 2:
+            turn = (hy[-1] - hy[-2]) * (xi - hx[-1]) - (yi - hy[-1]) * (hx[-1] - hx[-2])
+            if turn <= 0.0:
+                hx.pop()
+                hy.pop()
+            else:
+                break
+        hx.append(xi)
+        hy.append(yi)
+    return np.asarray(hx), np.asarray(hy)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=-3, max_value=4, allow_nan=False), min_size=1, max_size=30))
 def test_clip_unit_bounds(ys):
@@ -227,6 +245,61 @@ def test_lcm_dominates_and_is_concave(knots_values):
     assert np.all(hull.evaluate(xs) >= ys - 1e-12)
     slopes = hull.slopes()
     assert np.all(np.diff(slopes) <= 1e-9)
+
+
+def _flat_runs(seed, n):
+    """Non-monotone values with flat runs at the start, in the middle and at the end."""
+    rng = np.random.default_rng(seed)
+    xs = np.cumsum(rng.uniform(0.01, 1.0, n))
+    ys = rng.normal(size=n)
+    ys[:7] = ys[0]
+    ys[n // 2:n // 2 + 9] = ys[n // 2]
+    ys[-6:] = ys[-1]
+    ys[n // 4:n // 4 + 5] = ys.max()
+    return xs, ys
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lcm_with_flat_runs_matches_unfiltered_loop(seed):
+    xs, ys = _flat_runs(seed, 60 + 17 * seed)
+    hull = least_concave_majorant(xs, ys)
+    hx, hy = loop_lcm(xs, ys)
+    np.testing.assert_array_equal(hull.knots, hx)
+    np.testing.assert_array_equal(hull.values, hy)
+    np.testing.assert_allclose(hull.evaluate(xs), lcm_oracle(xs, ys), atol=1e-12)
+
+
+def test_lcm_of_step_cdf_matches_unfiltered_loop():
+    # a monotone step CDF with long flat stretches, the shape signal recovery feeds in
+    rng = np.random.default_rng(7)
+    xs = np.unique(np.round(rng.random(5000), 4))
+    ys = np.round(np.minimum(1.0, np.cumsum(rng.exponential(1.0, xs.size)) / 3000), 2)
+    hull = least_concave_majorant(xs, ys)
+    hx, hy = loop_lcm(xs, ys)
+    np.testing.assert_array_equal(hull.knots, hx)
+    np.testing.assert_array_equal(hull.values, hy)
+
+
+@st.composite
+def tied_knot_sets(draw, max_size=30):
+    # values drawn from a few levels, so flat runs of every length occur
+    xs, _ = draw(knot_sets(max_size=max_size))
+    levels = draw(st.lists(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+                           min_size=1, max_size=3))
+    ys = draw(st.lists(st.sampled_from(levels), min_size=xs.size, max_size=xs.size))
+    return xs, np.asarray(ys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_knot_sets())
+def test_lcm_with_tied_values_matches_loop_and_oracle(knots_values):
+    xs, ys = knots_values
+    hull = least_concave_majorant(xs, ys)
+    hx, hy = loop_lcm(xs, ys)
+    scale = 1e-12 * (1 + np.abs(ys).max())
+    np.testing.assert_allclose(hull.evaluate(xs), PiecewiseLinearConcaveFn(hx, hy).evaluate(xs),
+                               atol=scale)
+    np.testing.assert_allclose(hull.evaluate(xs), lcm_oracle(xs, ys), atol=scale)
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,7 +9,6 @@ simulation harness and a CLI wrap the estimators.
 """
 
 from .confidence import (
-    CriticalValueSpec,
     HomogeneityResult,
     asymptotic_cvm_quantile,
     cached_hn_quantile,
@@ -53,12 +52,10 @@ from .mixture_core import (
     elbow_peaks,
     estimate_alpha_cn,
     isotonized_cdf,
-    naive_component_values,
 )
 from .rng import DEFAULT_SEED, stream
 from .shape_restricted import (
     PiecewiseLinearConcaveFn,
-    clip_unit,
     isotonic_regression,
     least_concave_majorant,
 )
@@ -66,7 +63,6 @@ from .signal_recovery import (
     LfdrCurve,
     MonotoneStepDensity,
     SignalEstimate,
-    closest_gaussian,
     concavify,
     density_estimate,
     estimate_fs,
@@ -91,7 +87,6 @@ __all__ = [
     "stream",
     # shape restricted
     "isotonic_regression",
-    "clip_unit",
     "least_concave_majorant",
     "PiecewiseLinearConcaveFn",
     # distributions
@@ -112,7 +107,6 @@ __all__ = [
     "StepCdf",
     "CriterionCurve",
     "NoElbowError",
-    "naive_component_values",
     "isotonized_cdf",
     "criterion",
     "criterion_curve",
@@ -121,7 +115,6 @@ __all__ = [
     "elbow_peaks",
     "elbow_estimate",
     # confidence
-    "CriticalValueSpec",
     "HomogeneityResult",
     "critical_value",
     "simulate_hn_quantile",
@@ -138,7 +131,6 @@ __all__ = [
     "density_estimate",
     "lfdr",
     "recover_signal",
-    "closest_gaussian",
     # identifiability
     "MixtureSpec",
     "MixedMixtureSpec",

@@ -23,12 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
+from ._validate import check_count
 from .distributions import KnownCdf
 from .mixture_core import SortedSample, estimate_alpha_cn
 from .rng import DEFAULT_SEED, stream
 
 __all__ = [
-    "CriticalValueSpec",
     "HomogeneityResult",
     "critical_value",
     "simulate_hn_quantile",
@@ -57,49 +57,10 @@ _NS_HN = 104729
 # Upper-tail quantiles of the square root of the limiting Cramer-von Mises
 # statistic (integral of a squared Brownian bridge).  Keyed by beta.
 _SQRT_CVM_QUANTILES = {
-    0.15: math.sqrt(0.28406),
     0.10: math.sqrt(0.34730),
     0.05: math.sqrt(0.46136),
-    0.025: math.sqrt(0.58061),
     0.01: math.sqrt(0.74346),
-    0.005: math.sqrt(0.86937),
-    0.001: math.sqrt(1.16786),
 }
-_SUPPORTED_LEVELS = (0.10, 0.05, 0.01)
-
-
-@dataclass(frozen=True)
-class CriticalValueSpec:
-    """How to obtain the threshold for the lower confidence bound.
-
-    ``method`` is ``"monte_carlo"`` (simulate the finite-n null quantile;
-    needs ``n``, ``b`` replications and a ``seed``) or ``"asymptotic_cvm"``
-    (use the limiting quantile, adequate from roughly n = 500).
-    """
-
-    method: str
-    beta: float = 0.05
-    n: int = 0
-    b: int = 10_000
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        if self.method not in ("monte_carlo", "asymptotic_cvm"):
-            raise ValueError("method must be 'monte_carlo' or 'asymptotic_cvm'")
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError("beta must lie in (0, 1)")
-        if self.method == "monte_carlo":
-            if self.n < 1:
-                raise ValueError("monte_carlo requires the sample size n")
-            if self.b < 1000:
-                raise ValueError("monte_carlo requires at least 1000 replications")
-
-    def critical_value(self, cache: bool = False) -> float:
-        if self.method == "asymptotic_cvm":
-            return asymptotic_cvm_quantile(self.beta)
-        if cache:
-            return cached_hn_quantile(self.n, self.beta, self.b, self.seed)
-        return simulate_hn_quantile(self.n, self.beta, self.b, self.seed)
 
 
 @dataclass(frozen=True)
@@ -110,12 +71,6 @@ class HomogeneityResult:
     alpha_lower: float
     critical_value: float
     beta: float
-
-
-def _check_count(name: str, value) -> None:
-    # bool is an int subclass and floats truncate silently under int().
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def simulate_hn_quantile(n: int, beta: float, b: int = 10_000, seed: int = DEFAULT_SEED) -> float:
@@ -130,8 +85,8 @@ def simulate_hn_quantile(n: int, beta: float, b: int = 10_000, seed: int = DEFAU
     process and then served from memory; the disk cache that persists
     across processes is :func:`cached_hn_quantile`, which the CLI uses.
     """
-    _check_count("n", n)
-    _check_count("b", b)
+    check_count("n", n)
+    check_count("b", b)
     if n < 1:
         raise ValueError("n must be at least 1")
     if not (0.0 < beta < 1.0):
@@ -158,29 +113,20 @@ def _hn_quantile(n: int, beta: float, b: int, seed: int) -> float:
     return float(np.partition(stats, rank - 1)[rank - 1])
 
 
-def asymptotic_cvm_quantile(beta: float, interpolate: bool = False) -> float:
+def asymptotic_cvm_quantile(beta: float) -> float:
     """Upper ``1 - beta`` quantile of the limiting null statistic.
 
-    Supported levels are 0.10, 0.05 and 0.01 (at 0.05 the value is
-    0.6792).  With ``interpolate=True``, betas between the tabulated
-    levels 0.001..0.15 are linearly interpolated; for anything else use
-    the Monte Carlo route instead.
+    Tabulated for beta = 0.10, 0.05 and 0.01 only (at 0.05 the value is
+    0.6792); any other level raises ``ValueError``.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError("beta must lie in (0, 1)")
     for level, value in _SQRT_CVM_QUANTILES.items():
         if math.isclose(beta, level, rel_tol=0.0, abs_tol=1e-12):
-            if level in _SUPPORTED_LEVELS or interpolate:
-                return value
-    if not interpolate:
-        raise ValueError(
-            "asymptotic quantile tabulated only for beta in {0.10, 0.05, 0.01}; "
-            "pass interpolate=True or use a monte_carlo critical value"
-        )
-    levels = sorted(_SQRT_CVM_QUANTILES)
-    if beta < levels[0] or beta > levels[-1]:
-        raise ValueError("interpolation covers beta in [0.001, 0.15] only")
-    return float(np.interp(beta, levels, [_SQRT_CVM_QUANTILES[l] for l in levels]))
+            return value
+    raise ValueError(
+        f"asymptotic quantile tabulated only for beta in {{0.10, 0.05, 0.01}}, got {beta!r}"
+    )
 
 
 def critical_value(n: int, beta: float, seed: int = DEFAULT_SEED, cache: bool = False) -> float:
@@ -198,40 +144,20 @@ def critical_value(n: int, beta: float, seed: int = DEFAULT_SEED, cache: bool = 
     return simulate_hn_quantile(n, beta, seed=seed)
 
 
-def _threshold(sample: SortedSample, beta: float, spec: CriticalValueSpec | None) -> float:
-    if not (0.0 < beta < 1.0):
-        raise ValueError("beta must lie in (0, 1)")
-    if spec is None:
-        return critical_value(sample.n, beta)
-    if not math.isclose(spec.beta, beta, rel_tol=0.0, abs_tol=1e-12):
-        raise ValueError("beta disagrees with spec.beta")
-    return spec.critical_value()
-
-
-def lower_bound(
-    sample: SortedSample,
-    background: KnownCdf,
-    beta: float = 0.05,
-    spec: CriticalValueSpec | None = None,
-) -> float:
+def lower_bound(sample: SortedSample, background: KnownCdf, beta: float = 0.05) -> float:
     """Lower confidence bound for the identifiable mixing proportion.
 
     ``P(alpha_0 >= bound) >= 1 - beta`` for every n, with equality when
     the sample is pure background.  The bound is the thresholded estimator
-    evaluated at the ``1 - beta`` null quantile; it equals 0 exactly when
-    ``sqrt(n) * d_n(F_n, F_b)`` stays within the critical value.  Without
-    an explicit ``spec``, samples of size >= 500 use the asymptotic
-    quantile and smaller ones a Monte Carlo quantile.
+    evaluated at the ``1 - beta`` null quantile :func:`critical_value`
+    (asymptotic from n = 500, Monte Carlo below); it equals 0 exactly when
+    ``sqrt(n) * d_n(F_n, F_b)`` stays within that quantile.  For another
+    threshold call :func:`~mixsep.mixture_core.estimate_alpha_cn` directly.
     """
-    return estimate_alpha_cn(sample, background, _threshold(sample, beta, spec))
+    return estimate_alpha_cn(sample, background, critical_value(sample.n, beta))
 
 
-def homogeneity_test(
-    sample: SortedSample,
-    background: KnownCdf,
-    beta: float = 0.05,
-    spec: CriticalValueSpec | None = None,
-) -> HomogeneityResult:
+def homogeneity_test(sample: SortedSample, background: KnownCdf, beta: float = 0.05) -> HomogeneityResult:
     """Test whether the sample is pure background at level ``beta``.
 
     Rejects exactly when the lower confidence bound is positive, i.e. when
@@ -239,7 +165,7 @@ def homogeneity_test(
     quantile.  Consistent against fixed alternatives and against sparse
     ones with proportion ``~ n**-lambda`` for lambda < 1/2.
     """
-    c_n = _threshold(sample, beta, spec)
+    c_n = critical_value(sample.n, beta)
     bound = estimate_alpha_cn(sample, background, c_n)
     return HomogeneityResult(reject=bound > 0.0, alpha_lower=bound, critical_value=c_n, beta=beta)
 

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import KnownCdf
-from .shape_restricted import clip_unit, isotonic_regression
+from ._validate import check_count
+from .shape_restricted import isotonic_regression
 
 __all__ = [
     "SortedSample",
     "StepCdf",
     "CriterionCurve",
     "NoElbowError",
-    "naive_component_values",
     "isotonized_cdf",
     "criterion",
     "criterion_curve",
@@ -159,19 +159,6 @@ class CriterionCurve:
             raise ValueError("criterion values must be non-negative")
 
 
-def naive_component_values(sample: SortedSample, background: KnownCdf, gamma: float) -> np.ndarray:
-    """Naive signal-CDF values at the order statistics for a candidate gamma.
-
-    Computes ``(F_n(x_i) - (1 - gamma) * F_b(x_i)) / gamma`` at each sample
-    point.  The result need not be monotone nor inside [0, 1]; it is the
-    raw material the isotonic projection works on.
-    """
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError("gamma must lie in (0, 1]")
-    fb = np.asarray(background.cdf(sample.values), dtype=float)
-    return (sample.ecdf - (1.0 - gamma) * fb) / gamma
-
-
 class _Criterion:
     """The criterion of one sample against one background, as a function of gamma.
 
@@ -182,6 +169,8 @@ class _Criterion:
     as one point weighted by its length).  Since isotonic regression is
     positively homogeneous, ``gamma * naive = D + gamma * f`` is
     projected directly and clipped to ``[0, gamma]``, with no division.
+    :meth:`fit` is that projection; ``values`` holds the sample value of
+    each collapsed point.
     """
 
     def __init__(self, sample: SortedSample, background: KnownCdf):
@@ -195,7 +184,8 @@ class _Criterion:
         else:
             ends = np.flatnonzero(np.append(new_run, True))
             self._weights = np.diff(ends, prepend=-1).astype(float)
-            ecdf, fb = ecdf[ends], fb[ends]
+            values, ecdf, fb = values[ends], ecdf[ends], fb[ends]
+        self.values = values
         self._d = ecdf - fb
         self._f = fb
         self._n = sample.n
@@ -207,31 +197,41 @@ class _Criterion:
         total = r.sum() if self._weights is None else self._weights @ r
         return math.sqrt(float(total) / self._n)
 
+    def fit(self, gamma: float) -> np.ndarray:
+        """``gamma`` times the projected signal CDF at the collapsed points.
+
+        Returns ``clip(iso(y), 0, gamma)`` as a new array and leaves
+        ``y = D + gamma * f`` in ``self._y``.
+        """
+        y = np.multiply(self._f, gamma, out=self._y)
+        y += self._d
+        r = isotonic_regression(y, self._weights)
+        return np.clip(r, 0.0, gamma, out=r)
+
     def __call__(self, gamma: float) -> float:
         if gamma == 0.0:
             # The fit is clipped to [0, 0]: the distance from F_n to F_b.
             return self._rms(self._d.copy())
-        y = np.multiply(self._f, gamma, out=self._y)
-        y += self._d
-        r = isotonic_regression(y, self._weights)
-        np.clip(r, 0.0, gamma, out=r)
-        r -= y
+        r = self.fit(gamma)
+        r -= self._y
         return self._rms(r)
 
 
 def isotonized_cdf(sample: SortedSample, background: KnownCdf, gamma: float) -> StepCdf:
     """Project the naive signal-CDF values onto valid CDFs.
 
-    Isotonic regression followed by clamping to [0, 1]; the result, read as
-    a right-continuous step function with jumps at the distinct sample
-    values, is the closest CDF to the naive inversion in the empirical L2
-    sense.
+    The naive inversion ``(F_n - (1 - gamma) * F_b) / gamma`` is isotonised
+    and clamped to [0, 1]; the result, read as a right-continuous step
+    function with jumps at the distinct sample values, is the closest CDF
+    to the naive inversion in the empirical L2 sense.  It is the
+    criterion's projection at ``gamma``, rescaled by ``1 / gamma``.
     """
-    naive = naive_component_values(sample, background, gamma)
-    fitted = clip_unit(isotonic_regression(naive))
-    jumps = np.unique(sample.values)
-    idx_last = np.searchsorted(sample.values, jumps, side="right") - 1
-    return StepCdf(jumps=jumps, values=fitted[idx_last])
+    if not (0.0 < gamma <= 1.0):
+        raise ValueError("gamma must lie in (0, 1]")
+    crit = _Criterion(sample, background)
+    x = crit.values
+    last = np.flatnonzero(np.append(x[1:] != x[:-1], True))
+    return StepCdf(jumps=x[last], values=crit.fit(gamma)[last] / gamma)
 
 
 def criterion(sample: SortedSample, background: KnownCdf, gamma: float) -> float:
@@ -262,6 +262,7 @@ def criterion_curve(sample: SortedSample, background: KnownCdf, grid_size: int =
     projection over the distinct (value, ecdf) pairs, weighted by their
     counts.
     """
+    check_count("grid_size", grid_size)
     if grid_size < 10:
         raise ValueError("grid_size must be at least 10")
     crit = _Criterion(sample, background)
@@ -312,15 +313,14 @@ def estimate_alpha_cn(sample: SortedSample, background: KnownCdf, c_n: float) ->
 
 
 def _interior_peaks(second: np.ndarray) -> np.ndarray:
-    """Indices of local maxima of the second-difference sequence."""
-    n = second.size
-    idx = []
-    for i in range(n):
-        left_ok = i == 0 or second[i] >= second[i - 1]
-        right_ok = i == n - 1 or second[i] >= second[i + 1]
-        if left_ok and right_ok:
-            idx.append(i)
-    return np.asarray(idx, dtype=int)
+    """Indices of local maxima of the second-difference sequence.
+
+    A point is a peak when it is ``>=`` each neighbour it has, so the end
+    points are compared on one side only.
+    """
+    ge_left = np.append(True, second[1:] >= second[:-1])
+    ge_right = np.append(second[:-1] >= second[1:], True)
+    return np.flatnonzero(ge_left & ge_right)
 
 
 def elbow_peaks(curve: CriterionCurve) -> np.ndarray:

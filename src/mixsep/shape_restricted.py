@@ -1,10 +1,11 @@
 """Shape-restricted regression primitives.
 
 Weighted isotonic regression (scipy's compiled pool-adjacent-violators
-behind the package's own input checks), clipping to the unit interval, and
-least concave majorants of finite point sets.  These are the projection
-steps used to turn a raw component-CDF estimate into a valid distribution
-function and, later, into a non-increasing density.
+behind the package's own input checks) and least concave majorants of
+finite point sets.  The isotonic fit is the projection step that turns a
+raw component-CDF estimate into a valid distribution function (the caller
+clamps the fit to the CDF's range), and the majorant turns that CDF into
+one with a non-increasing density.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from scipy.optimize import isotonic_regression as _scipy_isotonic_regression
 
 __all__ = [
     "isotonic_regression",
-    "clip_unit",
     "PiecewiseLinearConcaveFn",
     "least_concave_majorant",
 ]
@@ -70,19 +70,6 @@ def isotonic_regression(values, weights=None) -> np.ndarray:
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("weights must be positive and finite")
     return _scipy_isotonic_regression(v, weights=w).x
-
-
-def clip_unit(seq) -> np.ndarray:
-    """Clamp a sequence into [0, 1] elementwise.
-
-    Together with :func:`isotonic_regression` this realises the projection
-    of an arbitrary vector onto the set of CDF values evaluated at the data
-    points: isotonise first, then clamp.
-    """
-    x = np.asarray(seq, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("values must be finite")
-    return np.clip(x, 0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)

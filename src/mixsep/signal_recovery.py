@@ -11,12 +11,11 @@ local false discovery rate curve for individual observations.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import KnownCdf, Normal
+from .distributions import KnownCdf
 from .mixture_core import SortedSample, StepCdf, isotonized_cdf
 from .shape_restricted import PiecewiseLinearConcaveFn, least_concave_majorant
 
@@ -29,7 +28,6 @@ __all__ = [
     "density_estimate",
     "lfdr",
     "recover_signal",
-    "closest_gaussian",
 ]
 
 
@@ -180,46 +178,3 @@ def recover_signal(sample: SortedSample, background: KnownCdf, alpha: float) -> 
     dens = density_estimate(fs_concave)
     return SignalEstimate(alpha_used=alpha, fs_step=fs_step, fs_concave=fs_concave, density=dens)
 
-
-def closest_gaussian(fs_step: StepCdf) -> tuple[float, float]:
-    """Best-fitting normal to a signal-CDF estimate (convenience helper).
-
-    Minimises the L2 distance between the normal CDF and the step estimate
-    under the step estimate's own jump weights: a coarse grid search around
-    moment-based starting values followed by a Nelder-Mead refinement.
-    Useful for summarising a recovered signal with two parameters; makes no
-    shape guarantee beyond least squares.
-    """
-    from scipy import optimize
-
-    jumps = fs_step.jumps
-    weights = np.diff(np.concatenate([[0.0], fs_step.values]))
-    weights = np.maximum(weights, 0.0)
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ValueError("step CDF carries no mass")
-    w = weights / total
-    mean0 = float(np.sum(w * jumps))
-    var0 = float(np.sum(w * (jumps - mean0) ** 2))
-    sd0 = math.sqrt(var0) if var0 > 0.0 else max(1e-3, 0.1 * abs(mean0))
-
-    targets = fs_step.values
-
-    def loss(params) -> float:
-        mu, sd = params
-        if sd <= 0.0:
-            return float("inf")
-        diff = Normal(mu, sd).cdf(jumps) - targets
-        return float(np.sum(weights * diff * diff))
-
-    best = (mean0, sd0)
-    best_loss = loss(best)
-    for mu in np.linspace(mean0 - 2.0 * sd0, mean0 + 2.0 * sd0, 21):
-        for sd in np.geomspace(sd0 / 4.0, sd0 * 4.0, 17):
-            cand_loss = loss((mu, sd))
-            if cand_loss < best_loss:
-                best, best_loss = (mu, sd), cand_loss
-    res = optimize.minimize(loss, np.asarray(best), method="Nelder-Mead",
-                            options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 2000})
-    mu, sd = (res.x if res.fun <= best_loss else np.asarray(best))
-    return float(mu), float(sd)

@@ -25,6 +25,7 @@ from io import StringIO
 import numpy as np
 from scipy import special
 
+from ._validate import check_count
 from .confidence import critical_value
 from .distributions import Beta, KnownCdf, Normal, Uniform
 from .identifiability import essinf_density_ratio
@@ -94,6 +95,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in _SCENARIOS:
             raise ValueError(f"scenario must be one of {_SCENARIOS}")
+        for name in ("n", "replications", "base_seed", "j", "block_size",
+                     "dependence_lag", "curve_grid"):
+            check_count(name, getattr(self, name))
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if not (0.0 <= self.alpha <= 1.0):

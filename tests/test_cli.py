@@ -175,6 +175,17 @@ def test_simulate_rejects_bad_config(tmp_path):
     assert main(["simulate", "--config", str(cfgp)]) == 2
 
 
+@pytest.mark.parametrize("override", [{"curve_grid": 10.5}, {"n": 500.5},
+                                      {"replications": 2.5}, {"replications": True}])
+def test_simulate_rejects_non_integer_counts(tmp_path, capsys, override):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"scenario": "setting_ii", "n": 300, "alpha": 0.1,
+                                "replications": 2, **override}))
+    assert main(["simulate", "--config", str(cfgp)]) == 2
+    (field,) = override
+    assert f"{field} must be an integer" in capsys.readouterr().err
+
+
 def test_identifiability_json(out):
     path = out("ident.json")
     assert main(["identifiability", "--alpha", "0.3", "--signal", "poisson:2",
@@ -208,6 +219,15 @@ def test_bad_background_spec_is_input_error(data_csv, capsys):
     rc = main(["estimate", "--data", data_csv, "--background", "cauchy:0,1"])
     assert rc == 2
     assert "bad distribution spec" in capsys.readouterr().err
+
+
+def test_untabulated_beta_names_the_supported_levels(capsys):
+    rc = main(["estimate", "--data", str(FIXTURES / "setting_ii_n5000.csv"),
+               "--background", "uniform", "--beta", "0.07", "--skip-elbow"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "0.10, 0.05, 0.01" in err
+    assert "interpolate" not in err
 
 
 def test_non_numeric_cell_reports_line(tmp_path, capsys):

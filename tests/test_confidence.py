@@ -9,7 +9,6 @@ import pytest
 
 import mixsep.confidence as confidence
 from mixsep.confidence import (
-    CriticalValueSpec,
     asymptotic_cvm_quantile,
     cached_hn_quantile,
     critical_value,
@@ -126,8 +125,7 @@ def test_quantile_rejects_non_integral_sizes():
 def test_critical_value_policy():
     assert critical_value(500, 0.05) == asymptotic_cvm_quantile(0.05)
     assert critical_value(499, 0.05, seed=3) == simulate_hn_quantile(499, 0.05, 10_000, 3)
-    assert critical_value(200, 0.10) == \
-        CriticalValueSpec(method="monte_carlo", beta=0.10, n=200).critical_value()
+    assert critical_value(200, 0.10) == simulate_hn_quantile(200, 0.10, 10_000, DEFAULT_SEED)
     with pytest.raises(ValueError, match="tabulated only"):
         critical_value(800, 0.07)
 
@@ -153,25 +151,15 @@ def test_asymptotic_quantile_pinned_table():
 
 
 def test_asymptotic_quantile_unsupported_level():
-    with pytest.raises(ValueError, match="tabulated only"):
-        asymptotic_cvm_quantile(0.07)
-    # interpolation unlocks intermediate levels, between the neighbours
-    q = asymptotic_cvm_quantile(0.07, interpolate=True)
-    assert asymptotic_cvm_quantile(0.10) < q < asymptotic_cvm_quantile(0.05)
+    for beta in (0.07, 0.025, 0.15):
+        with pytest.raises(ValueError, match="tabulated only") as exc:
+            asymptotic_cvm_quantile(beta)
+        assert "0.10, 0.05, 0.01" in str(exc.value)
 
 
 def test_simulated_approaches_asymptotic():
     q_n = simulate_hn_quantile(5000, 0.05, b=4000, seed=0)
     assert abs(q_n - asymptotic_cvm_quantile(0.05)) < 0.03
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError, match="method"):
-        CriticalValueSpec(method="bootstrap")
-    with pytest.raises(ValueError, match="sample size"):
-        CriticalValueSpec(method="monte_carlo")
-    with pytest.raises(ValueError, match="replications"):
-        CriticalValueSpec(method="monte_carlo", n=100, b=10)
 
 
 def test_cache_roundtrip(tmp_path, monkeypatch):
@@ -295,19 +283,11 @@ def test_lower_bound_decreases_with_beta():
     assert b10 >= b05 >= b01
 
 
-def test_lower_bound_spec_beta_mismatch():
-    s = pure_background(100, seed=8)
-    spec = CriticalValueSpec(method="monte_carlo", beta=0.10, n=100, b=2000)
-    with pytest.raises(ValueError, match="beta disagrees"):
-        lower_bound(s, UNIF, beta=0.05, spec=spec)
-
-
 def test_homogeneity_rejects_iff_bound_positive():
     for seed, alpha in [(11, 0.0), (12, 0.25)]:
         s = signal_mixture(1500, alpha, seed=seed) if alpha else pure_background(1500, seed)
-        spec = CriticalValueSpec(method="asymptotic_cvm", beta=0.05)
-        res = homogeneity_test(s, UNIF, beta=0.05, spec=spec)
-        bound = lower_bound(s, UNIF, beta=0.05, spec=spec)
+        res = homogeneity_test(s, UNIF, beta=0.05)
+        bound = lower_bound(s, UNIF, beta=0.05)
         assert res.alpha_lower == bound
         assert res.reject == (bound > 0.0)
         assert res.critical_value == pytest.approx(asymptotic_cvm_quantile(0.05))
@@ -316,7 +296,6 @@ def test_homogeneity_rejects_iff_bound_positive():
 def test_homogeneity_statistic_short_circuit():
     # a tiny pure-background sample stays under the Monte Carlo quantile
     s = pure_background(50, seed=13)
-    res = homogeneity_test(s, UNIF, beta=0.05,
-                           spec=CriticalValueSpec(method="monte_carlo", beta=0.05, n=50, b=2000))
+    res = homogeneity_test(s, UNIF, beta=0.05)
     assert not res.reject
     assert res.alpha_lower == 0.0

@@ -19,10 +19,10 @@ from mixsep.mixture_core import (
     elbow_peaks,
     estimate_alpha_cn,
     isotonized_cdf,
-    naive_component_values,
 )
 from mixsep.rng import stream
-from mixsep.shape_restricted import clip_unit, isotonic_regression
+from mixsep.shape_restricted import isotonic_regression
+from mixsep.signal_recovery import recover_signal
 
 UNIF = Uniform(0.0, 1.0)
 
@@ -47,8 +47,20 @@ def loop_criterion(sample, background, gamma):
     if gamma == 0.0:
         return math.sqrt(np.mean((sample.ecdf - fb) ** 2))
     naive = (sample.ecdf - (1.0 - gamma) * fb) / gamma
-    gap = clip_unit(isotonic_regression(naive)) - naive
+    gap = np.clip(isotonic_regression(naive), 0.0, 1.0) - naive
     return gamma * math.sqrt(np.mean(gap * gap))
+
+
+def naive_isotonized_cdf(sample, background, gamma):
+    """The projected signal CDF from the full-length naive vector: one
+    unweighted projection over every point, clipped to [0, 1], read off at
+    the last point of each distinct value.  Returns (jumps, values)."""
+    fb = np.asarray(background.cdf(sample.values), dtype=float)
+    naive = (sample.ecdf - (1.0 - gamma) * fb) / gamma
+    fitted = np.clip(isotonic_regression(naive), 0.0, 1.0)
+    jumps = np.unique(sample.values)
+    last = np.searchsorted(sample.values, jumps, side="right") - 1
+    return jumps, fitted[last]
 
 
 # --- sorted sample ------------------------------------------------------------
@@ -67,27 +79,6 @@ def test_from_data_sorts_and_rejects_bad_input():
         SortedSample.from_data([])
     with pytest.raises(ValueError):
         SortedSample.from_data([0.1, np.inf])
-
-
-# --- naive inversion ----------------------------------------------------------
-
-
-def test_naive_values_single_point():
-    s = SortedSample.from_data([0.5])
-    got = naive_component_values(s, UNIF, 0.5)
-    # (1 - 0.5 * 0.5) / 0.5
-    np.testing.assert_allclose(got, [1.5])
-
-
-def test_naive_values_at_gamma_one_equal_ecdf():
-    s = beta_uniform_sample(200, 0.1, seed=3)
-    np.testing.assert_array_equal(naive_component_values(s, UNIF, 1.0), s.ecdf)
-
-
-def test_naive_values_reject_gamma_zero():
-    s = SortedSample.from_data([0.5])
-    with pytest.raises(ValueError):
-        naive_component_values(s, UNIF, 0.0)
 
 
 # --- criterion ------------------------------------------------------------------
@@ -118,7 +109,7 @@ def test_criterion_equals_projection_distance(n, seed, gamma):
     """The criterion must equal gamma times the L2 gap between the projected
     CDF (read back off the public step function) and the naive values."""
     s = SortedSample.from_data(stream(seed, 77).random(n))
-    naive = naive_component_values(s, UNIF, gamma)
+    naive = (s.ecdf - (1.0 - gamma) * UNIF.cdf(s.values)) / gamma
     step = isotonized_cdf(s, UNIF, gamma)
     gap = step.evaluate(s.values) - naive
     want = gamma * math.sqrt(np.mean(gap ** 2))
@@ -195,6 +186,32 @@ def test_criterion_and_curve_match_pointwise_oracle(case):
         assert criterion(s, background, g) == pytest.approx(loop_criterion(s, background, g), abs=1e-12)
 
 
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_isotonized_cdf_matches_full_length_oracle(case):
+    make, background = _CASES[case]
+    s = make()
+    for gamma in (0.01, 0.05, 0.2, 0.5, 0.77, 1.0):
+        step = isotonized_cdf(s, background, gamma)
+        jumps, values = naive_isotonized_cdf(s, background, gamma)
+        np.testing.assert_array_equal(step.jumps, jumps)
+        np.testing.assert_allclose(step.values, values, rtol=0.0, atol=1e-12)
+
+
+def test_isotonized_cdf_at_gamma_one_is_the_ecdf():
+    # the naive inversion at gamma = 1 is F_n itself, already a CDF
+    s = SortedSample.from_data(np.round(beta_uniform_sample(500, 0.1, seed=3).values, 2))
+    step = isotonized_cdf(s, UNIF, 1.0)
+    last = np.searchsorted(s.values, step.jumps, side="right") - 1
+    np.testing.assert_allclose(step.values, s.ecdf[last], rtol=0.0, atol=1e-15)
+
+
+def test_isotonized_cdf_rejects_gamma_outside_unit_interval():
+    s = SortedSample.from_data([0.2, 0.5])
+    for g in (0.0, -0.1, 1.1):
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+            isotonized_cdf(s, UNIF, g)
+
+
 def test_hand_built_sample_keeps_ties_with_different_ecdf_apart(projections):
     s = SortedSample(values=[0.1, 0.2, 0.2, 0.2, 0.5, 0.5, 0.9],
                      ecdf=[1 / 7, 2 / 7, 3 / 7, 4 / 7, 6 / 7, 6 / 7, 1.0])
@@ -249,6 +266,25 @@ def test_background_cdf_is_evaluated_once_per_call(monkeypatch):
     assert calls == [s.n, s.n]
 
 
+@pytest.mark.parametrize("decimals", [None, 3, 2])
+def test_recover_signal_evaluates_and_projects_once(projections, monkeypatch, decimals):
+    x = beta_uniform_sample(2000, 0.2, seed=14).values
+    if decimals is not None:
+        x = np.round(x, decimals)
+    s = SortedSample.from_data(x)
+    calls = []
+    raw = Uniform.cdf
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return raw(self, x)
+
+    monkeypatch.setattr(Uniform, "cdf", counting)
+    recover_signal(s, UNIF, 0.2)
+    assert calls == [s.n]
+    assert projections == [np.unique(s.values).size]
+
+
 # --- metamorphic laws ---------------------------------------------------------------
 
 
@@ -291,6 +327,15 @@ def test_criterion_curve_rejects_small_grid():
     s = SortedSample.from_data([0.5, 0.6, 0.7])
     with pytest.raises(ValueError):
         criterion_curve(s, UNIF, 5)
+
+
+def test_criterion_curve_rejects_non_integer_grid():
+    s = beta_uniform_sample(200, 0.2, seed=22)
+    for grid in (10.5, 20.0, True):
+        with pytest.raises(ValueError, match="grid_size must be an integer"):
+            criterion_curve(s, UNIF, grid)
+    np.testing.assert_array_equal(criterion_curve(s, UNIF, np.int64(20)).values,
+                                  criterion_curve(s, UNIF, 20).values)
 
 
 def test_isotonized_cdf_collapses_ties():
@@ -371,6 +416,20 @@ def piecewise_linear_curve(kink, grid=10):
     h = 1.0 / grid
     second = (values[:-2] - 2 * values[1:-1] + values[2:]) / h ** 2
     return CriterionCurve(gammas=gammas, values=values, second_differences=second)
+
+
+def loop_interior_peaks(second):
+    """Local maxima, one index at a time: ``>=`` each neighbour that exists."""
+    n = len(second)
+    return [i for i in range(n)
+            if (i == 0 or second[i] >= second[i - 1]) and (i == n - 1 or second[i] >= second[i + 1])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=30))
+def test_interior_peaks_match_loop(levels):
+    second = np.asarray(levels, dtype=float)
+    assert mixture_core._interior_peaks(second).tolist() == loop_interior_peaks(second)
 
 
 def test_elbow_finds_the_kink():

@@ -21,6 +21,17 @@ def test_import_does_not_load_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def test_removed_names_stay_removed():
+    import inspect
+
+    for name in ("CriticalValueSpec", "naive_component_values", "clip_unit", "closest_gaussian"):
+        assert name not in mixsep.__all__
+        assert not hasattr(mixsep, name)
+    for fn in (mixsep.lower_bound, mixsep.homogeneity_test):
+        assert list(inspect.signature(fn).parameters) == ["sample", "background", "beta"]
+    assert list(inspect.signature(mixsep.asymptotic_cvm_quantile).parameters) == ["beta"]
+
+
 def test_readme_library_example_runs(tmp_path, monkeypatch):
     text = README.read_text(encoding="utf-8")
     library = text[text.index("## Library"):]

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from mixsep.shape_restricted import (
     PiecewiseLinearConcaveFn,
-    clip_unit,
     isotonic_regression,
     least_concave_majorant,
 )
@@ -184,15 +183,6 @@ def loop_lcm(x, y):
         hx.append(xi)
         hy.append(yi)
     return np.asarray(hx), np.asarray(hy)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(min_value=-3, max_value=4, allow_nan=False), min_size=1, max_size=30))
-def test_clip_unit_bounds(ys):
-    clipped = clip_unit(np.asarray(ys))
-    assert np.all(clipped >= 0.0) and np.all(clipped <= 1.0)
-    inside = (np.asarray(ys) >= 0) & (np.asarray(ys) <= 1)
-    np.testing.assert_array_equal(clipped[inside], np.asarray(ys)[inside])
 
 
 # --- least concave majorant -------------------------------------------------

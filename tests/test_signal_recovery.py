@@ -8,7 +8,6 @@ from mixsep.rng import stream
 from mixsep.shape_restricted import PiecewiseLinearConcaveFn
 from mixsep.signal_recovery import (
     MonotoneStepDensity,
-    closest_gaussian,
     concavify,
     density_estimate,
     estimate_fs,
@@ -161,18 +160,3 @@ def test_lfdr_low_for_tiny_p_values_under_strong_signal():
     curve = lfdr(np.array([0.002]), est.alpha_used, est.density, UNIF)
     # Beta(1,10) density at 0 is 10, so the posterior null odds are low
     assert curve.values[0] < 0.35
-
-
-# --- gaussian summary ----------------------------------------------------------
-
-
-def test_closest_gaussian_recovers_location_scale():
-    rng = stream(99, 404)
-    z = rng.standard_normal(6000) * 0.8 + 2.0
-    s = SortedSample.from_data(np.abs(z))  # keep the support non-negative
-    # fit against the step CDF of the absolute values with full weight
-    step = estimate_fs(SortedSample.from_data(z - z.min() + 1e-3), Normal(-50, 1), 1.0)
-    mu, sd = closest_gaussian(step)
-    want_mu = (z - z.min() + 1e-3).mean()
-    assert mu == pytest.approx(want_mu, abs=0.1)
-    assert sd == pytest.approx(0.8, abs=0.1)

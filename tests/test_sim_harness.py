@@ -144,6 +144,17 @@ def test_config_validation():
         ScenarioConfig.from_dict({"scenario": "A", "n": 10, "alpha": 0.1, "bogus": 1})
 
 
+@pytest.mark.parametrize("field", ["n", "replications", "base_seed", "j", "block_size",
+                                   "dependence_lag", "curve_grid"])
+def test_config_rejects_non_integer_counts(field):
+    base = {"scenario": "A", "n": 50, "alpha": 0.1}
+    good = ScenarioConfig(**{**base, field: np.int64(20)})
+    assert getattr(good, field) == 20
+    for bad in (20.5, 20.0, True):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ScenarioConfig(**{**base, field: bad})
+
+
 def test_run_replications_deterministic():
     cfg = ScenarioConfig(scenario="setting_ii", n=400, alpha=0.15,
                          replications=6, base_seed=77,

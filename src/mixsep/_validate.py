@@ -12,3 +12,10 @@ def check_count(name: str, value) -> None:
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_seed(seed) -> None:
+    """Raise ``ValueError`` unless ``seed`` is a non-negative integer."""
+    check_count("seed", seed)
+    if seed < 0:
+        raise ValueError("seed must be non-negative")

@@ -23,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ._validate import check_count
+from ._validate import check_count, check_seed
 from .distributions import KnownCdf
 from .mixture_core import SortedSample, estimate_alpha_cn
-from .rng import DEFAULT_SEED, stream
+from .rng import DEFAULT_SEED, uniform_rows
 
 __all__ = [
     "HomogeneityResult",
@@ -85,15 +85,21 @@ def simulate_hn_quantile(n: int, beta: float, b: int = 10_000, seed: int = DEFAU
     process and then served from memory; the disk cache that persists
     across processes is :func:`cached_hn_quantile`, which the CLI uses.
     """
+    _check_quantile_args(n, beta, b, seed)
+    return _hn_quantile(int(n), float(beta), int(b), int(seed))
+
+
+def _check_quantile_args(n, beta, b, seed) -> None:
+    """Checks every quantile entry point runs before it looks at a cache."""
     check_count("n", n)
     check_count("b", b)
+    check_seed(seed)
     if n < 1:
         raise ValueError("n must be at least 1")
     if not (0.0 < beta < 1.0):
         raise ValueError("beta must lie in (0, 1)")
     if b < 1000:
         raise ValueError("need at least 1000 replications for a stable quantile")
-    return _hn_quantile(int(n), float(beta), int(b), int(seed))
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -104,8 +110,7 @@ def _hn_quantile(n: int, beta: float, b: int, seed: int) -> float:
     stats = np.empty(b)
     for start in range(0, b, rows):
         chunk = buf[:min(rows, b - start)]
-        for i, row in enumerate(chunk):
-            stream(seed, _NS_HN, start + i).random(out=row)
+        uniform_rows(chunk, seed, _NS_HN, start=start)
         chunk.sort(axis=1)
         diff = grid - chunk
         stats[start:start + len(chunk)] = np.sqrt(n * np.mean(diff * diff, axis=1))
@@ -199,6 +204,7 @@ def cached_hn_quantile(
     command-line runs with the same configuration skip the simulation.  A
     new row is written by replacing the whole file atomically.
     """
+    _check_quantile_args(n, beta, b, seed)
     path = resolve_cache_path(cache_dir)
     key = (int(n), repr(float(beta)), int(b), int(seed))
     try:

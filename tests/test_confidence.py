@@ -3,11 +3,13 @@ import csv
 import math
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import mixsep.confidence as confidence
+import mixsep.rng as rng
 from mixsep.confidence import (
     asymptotic_cvm_quantile,
     cached_hn_quantile,
@@ -19,7 +21,7 @@ from mixsep.confidence import (
 )
 from mixsep.distributions import Beta, Uniform
 from mixsep.mixture_core import SortedSample
-from mixsep.rng import DEFAULT_SEED, stream
+from mixsep.rng import DEFAULT_SEED, stream, uniform_rows
 
 UNIF = Uniform(0.0, 1.0)
 
@@ -43,17 +45,27 @@ def loop_hn_quantile(n, beta, b, seed):
 
 
 @pytest.fixture()
-def stream_calls(monkeypatch):
-    """Empty the quantile memo and count the streams the simulation draws."""
-    confidence._hn_quantile.cache_clear()
-    calls = []
+def drawn_rows(monkeypatch):
+    """Empty the quantile memo and record the key paths the simulation draws.
 
-    def counting(seed, *key):
-        calls.append(key)
+    ``rows`` gets one entry per row drawn through ``uniform_rows``,
+    ``streams`` one per call to ``stream``.
+    """
+    confidence._hn_quantile.cache_clear()
+    log = SimpleNamespace(rows=[], streams=[])
+
+    def counting_rows(out, seed, *key, start=0):
+        log.rows.extend((*key, start + i) for i in range(len(out)))
+        return uniform_rows(out, seed, *key, start=start)
+
+    def counting_stream(seed, *key):
+        log.streams.append(key)
         return stream(seed, *key)
 
-    monkeypatch.setattr(confidence, "stream", counting)
-    yield calls
+    monkeypatch.setattr(confidence, "uniform_rows", counting_rows)
+    monkeypatch.setattr(rng, "stream", counting_stream)
+    monkeypatch.setattr(confidence, "stream", counting_stream, raising=False)
+    yield log
     confidence._hn_quantile.cache_clear()
 
 
@@ -79,21 +91,25 @@ def test_chunked_quantile_equals_loop_at_every_tested_rank():
         assert simulate_hn_quantile(499, beta, 1001, 8) == stats[rank - 1]
 
 
-def test_repeated_quantile_is_not_simulated_again(stream_calls):
+def test_repeated_quantile_is_not_simulated_again(drawn_rows):
     first = simulate_hn_quantile(90, 0.05, b=1000, seed=4)
-    assert len(stream_calls) == 1000
+    assert len(drawn_rows.rows) == 1000
     assert simulate_hn_quantile(90, 0.05, b=1000, seed=4) == first
-    assert len(stream_calls) == 1000
+    assert len(drawn_rows.rows) == 1000
     # any change of key simulates afresh
     simulate_hn_quantile(90, 0.05, b=1000, seed=5)
-    assert len(stream_calls) == 2000
+    assert len(drawn_rows.rows) == 2000
+    # every row comes from the batch derivation, none from its own stream
+    assert drawn_rows.rows == [(confidence._NS_HN, rep) for rep in range(1000)] * 2
+    assert drawn_rows.streams == []
 
 
-def test_lower_bound_and_homogeneity_test_share_one_simulation(stream_calls):
+def test_lower_bound_and_homogeneity_test_share_one_simulation(drawn_rows):
     s = pure_background(120, seed=14)
     bound = lower_bound(s, UNIF, beta=0.05)
     res = homogeneity_test(s, UNIF, beta=0.05)
-    assert len(stream_calls) == 10_000
+    assert len(drawn_rows.rows) == 10_000
+    assert drawn_rows.streams == []
     assert res.alpha_lower == bound
     assert res.critical_value == critical_value(120, 0.05)
 
@@ -120,6 +136,29 @@ def test_quantile_rejects_non_integral_sizes():
     # numpy integers are integers
     assert simulate_hn_quantile(np.int64(30), 0.05, np.int32(1000)) == \
         simulate_hn_quantile(30, 0.05, 1000)
+
+
+def test_quantile_rejects_non_integer_seeds(tmp_path):
+    for seed in (1.5, True, 1.0):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            simulate_hn_quantile(40, 0.05, 1000, seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            cached_hn_quantile(40, 0.05, 1000, seed, cache_dir=tmp_path)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            critical_value(40, 0.05, seed=seed)
+    assert not (tmp_path / "hn_quantiles.csv").exists()
+    assert simulate_hn_quantile(40, 0.05, 1000, np.uint16(1)) == \
+        simulate_hn_quantile(40, 0.05, 1000, 1)
+
+
+def test_cache_hit_keeps_the_argument_checks(tmp_path):
+    cached_hn_quantile(100, 0.05, 1000, 1, cache_dir=tmp_path)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        cached_hn_quantile(100.5, 0.05, 1000, 1, cache_dir=tmp_path)
+    with pytest.raises(ValueError, match="b must be an integer"):
+        cached_hn_quantile(100, 0.05, 1000.9, 1, cache_dir=tmp_path)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        cached_hn_quantile(100, 0.05, 1000, True, cache_dir=tmp_path)
 
 
 def test_critical_value_policy():

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import csv
 import functools
+import importlib.resources
 import math
 import os
 import tempfile
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,6 +43,15 @@ __all__ = [
 
 # Sample size from which the asymptotic quantile is used by default.
 ASYMPTOTIC_N = 500
+
+# Monte Carlo replications behind critical_value below ASYMPTOTIC_N.
+_DEFAULT_B = 10_000
+
+# Package data: the Monte Carlo quantiles at the library defaults (b =
+# _DEFAULT_B, seed = DEFAULT_SEED) for n below ASYMPTOTIC_N, in the disk
+# cache's format.  scripts/make_hn_table.py writes it and checks it against
+# simulate_hn_quantile.
+_TABLE_FILE = "data/hn_quantiles.csv"
 
 # Simulated quantiles kept in memory per process, one float per
 # (n, beta, b, seed) key.
@@ -73,7 +84,7 @@ class HomogeneityResult:
     beta: float
 
 
-def simulate_hn_quantile(n: int, beta: float, b: int = 10_000, seed: int = DEFAULT_SEED) -> float:
+def simulate_hn_quantile(n: int, beta: float, b: int = _DEFAULT_B, seed: int = DEFAULT_SEED) -> float:
     """Upper ``1 - beta`` quantile of ``sqrt(n) * d_n(F_n, F)`` under the null.
 
     Simulated with ``b`` uniform samples of size ``n`` (the statistic is
@@ -137,13 +148,18 @@ def asymptotic_cvm_quantile(beta: float) -> float:
 def critical_value(n: int, beta: float, seed: int = DEFAULT_SEED, cache: bool = False) -> float:
     """Default threshold for a sample of size ``n`` at level ``beta``.
 
-    From ``n = ASYMPTOTIC_N`` on this is the asymptotic quantile; below it,
-    the Monte Carlo quantile with the default ``b`` replications and the
-    given ``seed``, read from and written to the disk cache when ``cache``
-    is true.
+    From ``n = ASYMPTOTIC_N`` on this is the asymptotic quantile.  Below
+    it, it is the Monte Carlo quantile with the default ``b`` replications
+    and the given ``seed``: read from the shipped table at the default seed
+    and levels, otherwise simulated, and read from and written to the disk
+    cache when ``cache`` is true.
     """
+    _check_quantile_args(n, beta, _DEFAULT_B, seed)
     if n >= ASYMPTOTIC_N:
         return asymptotic_cvm_quantile(beta)
+    tabulated = _table().get(_key(n, beta, _DEFAULT_B, seed))
+    if tabulated is not None:
+        return tabulated
     if cache:
         return cached_hn_quantile(n, beta, seed=seed)
     return simulate_hn_quantile(n, beta, seed=seed)
@@ -194,7 +210,7 @@ def resolve_cache_path(cache_dir: str | os.PathLike | None = None) -> Path:
 def cached_hn_quantile(
     n: int,
     beta: float,
-    b: int = 10_000,
+    b: int = _DEFAULT_B,
     seed: int = DEFAULT_SEED,
     cache_dir: str | os.PathLike | None = None,
 ) -> float:
@@ -206,24 +222,42 @@ def cached_hn_quantile(
     """
     _check_quantile_args(n, beta, b, seed)
     path = resolve_cache_path(cache_dir)
-    key = (int(n), repr(float(beta)), int(b), int(seed))
+    key = _key(n, beta, b, seed)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read()
     except FileNotFoundError:
         text = ""
+    for row_key, value in _read_rows(text):
+        if row_key == key:
+            return value
+    value = simulate_hn_quantile(n, beta, b, seed)
+    _write_cache(path, text, [*key, repr(value)])
+    return value
+
+
+def _key(n, beta, b, seed) -> tuple:
+    """Row key of a quantile CSV: ``(n, repr(beta), B, seed)``."""
+    return (int(n), repr(float(beta)), int(b), int(seed))
+
+
+def _read_rows(text: str):
+    """Yield ``(key, quantile)`` for each well-formed row of a quantile CSV."""
     for row in csv.reader(StringIO(text)):
         if not row or row[0] == _CACHE_HEADER[0]:
             continue
         try:
-            row_key = (int(row[0]), repr(float(row[1])), int(row[2]), int(row[3]))
-        except (ValueError, IndexError):
+            key, value = _key(*row[:4]), float(row[4])
+        except (ValueError, IndexError, TypeError):
             continue
-        if row_key == key:
-            return float(row[4])
-    value = simulate_hn_quantile(n, beta, b, seed)
-    _write_cache(path, text, [n, repr(float(beta)), b, seed, repr(value)])
-    return value
+        yield key, value
+
+
+@functools.lru_cache(maxsize=None)
+def _table() -> MappingProxyType:
+    """The shipped quantile table, parsed on first use and keyed like the disk cache."""
+    text = importlib.resources.files(__package__).joinpath(_TABLE_FILE).read_text(encoding="utf-8")
+    return MappingProxyType(dict(_read_rows(text)))
 
 
 def _write_cache(path: Path, text: str, row: list) -> None:

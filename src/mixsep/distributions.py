@@ -53,7 +53,7 @@ def _out(values: np.ndarray, scalar: bool):
 def _resolve_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return stream(int(seed))
+    return stream(seed)
 
 
 class KnownCdf:

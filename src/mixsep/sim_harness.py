@@ -157,7 +157,7 @@ def bitriangular_sample(a: float, b: float, count: int, seed) -> np.ndarray:
         raise ValueError("need 0 <= a < b")
     if count < 0:
         raise ValueError("count must be non-negative")
-    rng = seed if isinstance(seed, np.random.Generator) else stream(int(seed))
+    rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
     magnitudes = rng.triangular(a, 0.5 * (a + b), b, count)
     signs = np.where(rng.random(count) < 0.5, -1.0, 1.0)
     return signs * magnitudes

@@ -60,6 +60,26 @@ def test_estimate_rerun_is_byte_identical(data_csv, out):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+@pytest.mark.parametrize("seed_args, cache_rows", [([], 0), (["--seed", "7"], 1)])
+def test_estimate_cache_is_written_only_off_the_shipped_table(tmp_path, monkeypatch, out,
+                                                               seed_args, cache_rows):
+    lines = (FIXTURES / "setting_ii_n5000.csv").read_text(encoding="utf-8").splitlines()
+    cut = tmp_path / "cut_n300.csv"
+    cut.write_text("\n".join(lines[:301]) + "\n", encoding="utf-8")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("MIXSEP_CACHE_DIR", str(cache))
+    assert main(["estimate", "--data", str(cut), "--background", "uniform",
+                 "--skip-elbow", "--output", out("est.json"), *seed_args]) == 0
+    report = json.loads(open(out("est.json")).read())
+    assert report["n"] == 300
+    if cache_rows:
+        assert [p.name for p in cache.iterdir()] == ["hn_quantiles.csv"]
+        assert len((cache / "hn_quantiles.csv").read_text().splitlines()) == 1 + cache_rows
+    else:
+        assert list(cache.iterdir()) == []
+
+
 def test_estimate_explicit_cn_sets_tau_null(data_csv, out):
     path = out("est2.json")
     assert main(["estimate", "--data", data_csv, "--background", "uniform:0,1",

@@ -1,8 +1,11 @@
 """Null quantile simulation, asymptotic table and the lower confidence bound."""
 import csv
 import math
+import pathlib
+import subprocess
 import sys
 import threading
+from importlib import resources
 from types import SimpleNamespace
 
 import numpy as np
@@ -106,12 +109,19 @@ def test_repeated_quantile_is_not_simulated_again(drawn_rows):
 
 def test_lower_bound_and_homogeneity_test_share_one_simulation(drawn_rows):
     s = pure_background(120, seed=14)
+    # at a tabulated level neither call simulates
     bound = lower_bound(s, UNIF, beta=0.05)
     res = homogeneity_test(s, UNIF, beta=0.05)
+    assert len(drawn_rows.rows) == 0
+    assert res.alpha_lower == bound
+    assert res.critical_value == critical_value(120, 0.05)
+    # at an untabulated level the two calls share one simulation
+    bound = lower_bound(s, UNIF, beta=0.2)
+    res = homogeneity_test(s, UNIF, beta=0.2)
     assert len(drawn_rows.rows) == 10_000
     assert drawn_rows.streams == []
     assert res.alpha_lower == bound
-    assert res.critical_value == critical_value(120, 0.05)
+    assert res.critical_value == critical_value(120, 0.2)
 
 
 def test_quantile_checks_survive_a_memo_hit():
@@ -159,6 +169,80 @@ def test_cache_hit_keeps_the_argument_checks(tmp_path):
         cached_hn_quantile(100, 0.05, 1000.9, 1, cache_dir=tmp_path)
     with pytest.raises(ValueError, match="seed must be an integer"):
         cached_hn_quantile(100, 0.05, 1000, True, cache_dir=tmp_path)
+
+
+def test_critical_value_checks_its_arguments_on_every_route(drawn_rows):
+    # asymptotic route
+    with pytest.raises(ValueError, match="n must be an integer"):
+        critical_value(600.5, 0.05)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        critical_value(600, 0.05, seed=1.5)
+    # table route
+    with pytest.raises(ValueError, match="n must be an integer"):
+        critical_value(100.5, 0.05)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        critical_value(100, 0.05, seed=True)
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        critical_value(0, 0.05)
+    assert drawn_rows.rows == []
+
+
+TABLE_LEVELS = (0.10, 0.05, 0.01)
+
+
+def shipped_table():
+    text = (resources.files("mixsep") / "data" / "hn_quantiles.csv").read_text(encoding="utf-8")
+    return text, dict(confidence._read_rows(text))
+
+
+def test_shipped_table_covers_every_default_key():
+    text, table = shipped_table()
+    assert text.splitlines()[0] == "n,beta,B,seed,quantile"
+    assert len(text.splitlines()) == 1 + len(table)
+    assert set(table) == {(n, repr(beta), 10_000, DEFAULT_SEED)
+                          for n in range(1, confidence.ASYMPTOTIC_N) for beta in TABLE_LEVELS}
+    assert all(math.isfinite(q) and q > 0.0 for q in table.values())
+    for n in range(1, confidence.ASYMPTOTIC_N):
+        q10, q05, q01 = (table[n, repr(beta), 10_000, DEFAULT_SEED] for beta in TABLE_LEVELS)
+        assert q10 < q05 < q01
+
+
+def test_shipped_table_reads_as_a_disk_cache(tmp_path, drawn_rows):
+    text, table = shipped_table()
+    (tmp_path / "hn_quantiles.csv").write_text(text, encoding="utf-8")
+    for key in [(1, "0.1", 10_000, DEFAULT_SEED), (499, "0.01", 10_000, DEFAULT_SEED)]:
+        assert cached_hn_quantile(key[0], float(key[1]), cache_dir=tmp_path) == table[key]
+    assert drawn_rows.rows == []
+
+
+@pytest.mark.parametrize("beta", TABLE_LEVELS)
+@pytest.mark.parametrize("n", [1, 2, 3, 59, 120, 275, 498, 499])
+def test_tabulated_critical_value_equals_simulation(n, beta):
+    tabulated = confidence._table()[n, repr(beta), 10_000, DEFAULT_SEED]
+    assert critical_value(n, beta) == tabulated == simulate_hn_quantile(n, beta, 10_000, DEFAULT_SEED)
+
+
+def test_table_route_draws_no_row(drawn_rows, tmp_path, monkeypatch):
+    monkeypatch.setenv("MIXSEP_CACHE_DIR", str(tmp_path))
+    critical_value(120, 0.05)
+    critical_value(np.int64(275), 0.01, seed=np.uint16(DEFAULT_SEED), cache=True)
+    assert drawn_rows.rows == []
+    assert list(tmp_path.iterdir()) == []
+    # another seed or an untabulated level still simulates
+    critical_value(120, 0.05, seed=7)
+    assert len(drawn_rows.rows) == 10_000
+    critical_value(120, 0.2, cache=True)
+    assert len(drawn_rows.rows) == 20_000
+    assert len(resolve_cache_path().read_text().splitlines()) == 2
+
+
+def test_import_does_not_load_the_table():
+    src = pathlib.Path(confidence.__file__).resolve().parents[1]
+    code = ("import mixsep, mixsep.confidence as c; a = c._table.cache_info().currsize; "
+            "mixsep.critical_value(50, 0.05); print(a, c._table.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["0", "1"]
 
 
 def test_critical_value_policy():

@@ -123,6 +123,14 @@ def test_sampling_is_deterministic_per_seed():
     assert not np.array_equal(a, c)
 
 
+def test_sampling_rejects_non_integer_seeds():
+    # a float seed used to be truncated: sample(5, 1.5) drew what sample(5, 1) draws
+    for seed in (1.5, True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            Beta(1, 10).sample(5, seed)
+    np.testing.assert_array_equal(Beta(1, 10).sample(5, np.int64(1)), Beta(1, 10).sample(5, 1))
+
+
 def test_sampling_accepts_generator():
     rng = stream(5, 1)
     a = Uniform().sample(10, rng)

@@ -42,6 +42,14 @@ def test_bitriangular_validates_bounds():
         bitriangular_sample(-0.1, 1.0, 10, seed=0)
 
 
+def test_bitriangular_rejects_non_integer_seeds():
+    for seed in (1.5, True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            bitriangular_sample(1.0, 2.0, 5, seed)
+    np.testing.assert_array_equal(bitriangular_sample(1.0, 2.0, 5, np.uint8(3)),
+                                  bitriangular_sample(1.0, 2.0, 5, 3))
+
+
 def test_block_noise_has_target_correlation():
     rng = stream(0, 555)
     x = block_correlated_normals(200, 2000, rho=0.5, block_size=100, rng=rng)

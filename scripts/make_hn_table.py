@@ -3,9 +3,9 @@
 ``src/mixsep/data/hn_quantiles.csv`` holds
 ``simulate_hn_quantile(n, beta, 10_000, DEFAULT_SEED)`` for every
 ``n < ASYMPTOTIC_N`` and ``beta`` in {0.10, 0.05, 0.01}, written with
-``repr`` in the disk cache's ``n,beta,B,seed,quantile`` format.
-``critical_value`` reads it instead of simulating at those keys, so the
-simulation stays the specification and the file is a cache of it.
+``repr`` as ``n,beta,B,seed,quantile`` rows.  ``critical_value`` reads it
+instead of simulating at those keys, so the simulation stays the
+specification and the file is a cache of it.
 
     python scripts/make_hn_table.py           # rewrite the file
     python scripts/make_hn_table.py --check   # recompute every row; exit 1 on any difference
@@ -23,7 +23,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from mixsep.confidence import (  # noqa: E402
-    _CACHE_HEADER,
+    _TABLE_HEADER,
     _DEFAULT_B,
     _TABLE_FILE,
     ASYMPTOTIC_N,
@@ -59,7 +59,7 @@ def main(argv=None) -> int:
         return 1 if bad else 0
     with open(TABLE, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CACHE_HEADER)
+        writer.writerow(_TABLE_HEADER)
         writer.writerows([*key, repr(value)] for key, value in expected.items())
     print(f"wrote {len(expected)} rows to {TABLE}")
     return 0

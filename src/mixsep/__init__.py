@@ -11,7 +11,6 @@ simulation harness and a CLI wrap the estimators.
 from .confidence import (
     HomogeneityResult,
     asymptotic_cvm_quantile,
-    cached_hn_quantile,
     critical_value,
     homogeneity_test,
     lower_bound,
@@ -119,7 +118,6 @@ __all__ = [
     "critical_value",
     "simulate_hn_quantile",
     "asymptotic_cvm_quantile",
-    "cached_hn_quantile",
     "lower_bound",
     "homogeneity_test",
     # signal recovery

@@ -155,14 +155,13 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _provenance(seed: int) -> dict:
+def _provenance() -> dict:
     import scipy
 
     return {
         "package": __version__,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "seed": int(seed),
     }
 
 
@@ -196,7 +195,7 @@ def _cmd_estimate(args) -> int:
     alpha_lower = beta = critical = reject = None
     if not args.skip_lower:
         beta = args.beta
-        critical = critical_value(sample.n, beta, args.seed, cache=True)
+        critical = critical_value(sample.n, beta, args.seed)
         alpha_lower = estimate_alpha_cn(sample, background, critical)
         reject = alpha_lower > 0.0
 
@@ -212,7 +211,7 @@ def _cmd_estimate(args) -> int:
         "beta": beta,
         "critical_value": critical,
         "reject_homogeneity": reject,
-        "provenance": _provenance(args.seed),
+        "provenance": {**_provenance(), "seed": args.seed},
     }
     _write_text(args.output, _json_text(payload))
     return 0
@@ -314,7 +313,7 @@ def _cmd_signal(args) -> int:
         "files": files,
         "lfdr_available": lfdr_available,
         "lfdr_note": lfdr_note,
-        "provenance": _provenance(args.seed),
+        "provenance": _provenance(),
     }
     _write_text(args.output, _json_text(payload))
     return 0
@@ -439,8 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate the local FDR at every observation")
     p.add_argument("--out-prefix", required=True,
                    help="prefix for the CSV outputs, e.g. out/run1")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"seed recorded in the summary (default {DEFAULT_SEED})")
     p.add_argument("--output", default=None,
                    help="path for the JSON summary (default stdout)")
     p.set_defaults(func=_cmd_signal)

@@ -98,6 +98,10 @@ class ScenarioConfig:
         for name in ("n", "replications", "base_seed", "j", "block_size",
                      "dependence_lag", "curve_grid"):
             check_count(name, getattr(self, name))
+        for name in ("alpha", "rho", "m_star", "beta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if not (0.0 <= self.alpha <= 1.0):
@@ -112,14 +116,16 @@ class ScenarioConfig:
             raise ValueError("block_size must be at least 1")
         if self.dependence_lag < 0:
             raise ValueError("dependence_lag must be non-negative")
-        if self.m_star < 0.0:
-            raise ValueError("m_star must be non-negative")
+        if not (0.0 <= self.m_star < math.inf):
+            raise ValueError("m_star must be finite and non-negative")
         if not (0.0 < self.beta < 1.0):
             raise ValueError("beta must lie in (0, 1)")
         if self.curve_grid < 10:
             raise ValueError("curve_grid must be at least 10")
-        if not self.estimators:
-            raise ValueError("at least one estimator is required")
+        if not (isinstance(self.estimators, (list, tuple)) and self.estimators
+                and all(isinstance(spec, str) for spec in self.estimators)):
+            raise ValueError(f"estimators must be a non-empty list of strings, got {self.estimators!r}")
+        object.__setattr__(self, "estimators", tuple(self.estimators))
         for spec in self.estimators:
             _parse_estimator(spec)
 
@@ -129,10 +135,7 @@ class ScenarioConfig:
         unknown = set(payload) - set(allowed)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(payload)
-        if "estimators" in kwargs:
-            kwargs["estimators"] = tuple(kwargs["estimators"])
-        return cls(**kwargs)
+        return cls(**payload)
 
 
 def _parse_estimator(spec: str):

@@ -9,8 +9,9 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from mixsep.cli import main
+from mixsep.confidence import simulate_hn_quantile
 from mixsep.distributions import Beta
-from mixsep.rng import stream
+from mixsep.rng import DEFAULT_SEED, stream
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -60,24 +61,28 @@ def test_estimate_rerun_is_byte_identical(data_csv, out):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-@pytest.mark.parametrize("seed_args, cache_rows", [([], 0), (["--seed", "7"], 1)])
-def test_estimate_cache_is_written_only_off_the_shipped_table(tmp_path, monkeypatch, out,
-                                                               seed_args, cache_rows):
+@pytest.mark.parametrize("extra_args, beta, seed", [
+    ([], 0.05, DEFAULT_SEED),
+    (["--seed", "7"], 0.05, 7),
+    (["--beta", "0.2"], 0.2, DEFAULT_SEED),
+], ids=["default", "seed7", "beta0.2"])
+def test_estimate_writes_no_quantile_file(tmp_path, monkeypatch, out, extra_args, beta, seed):
     lines = (FIXTURES / "setting_ii_n5000.csv").read_text(encoding="utf-8").splitlines()
     cut = tmp_path / "cut_n300.csv"
     cut.write_text("\n".join(lines[:301]) + "\n", encoding="utf-8")
-    cache = tmp_path / "cache"
+    # the retired disk cache read these two; nothing may write under either
+    cache, home = tmp_path / "cache", tmp_path / "home"
     cache.mkdir()
+    home.mkdir()
     monkeypatch.setenv("MIXSEP_CACHE_DIR", str(cache))
+    monkeypatch.setenv("HOME", str(home))
     assert main(["estimate", "--data", str(cut), "--background", "uniform",
-                 "--skip-elbow", "--output", out("est.json"), *seed_args]) == 0
+                 "--skip-elbow", "--output", out("est.json"), *extra_args]) == 0
     report = json.loads(open(out("est.json")).read())
     assert report["n"] == 300
-    if cache_rows:
-        assert [p.name for p in cache.iterdir()] == ["hn_quantiles.csv"]
-        assert len((cache / "hn_quantiles.csv").read_text().splitlines()) == 1 + cache_rows
-    else:
-        assert list(cache.iterdir()) == []
+    assert report["critical_value"] == simulate_hn_quantile(300, beta, 10_000, seed)
+    assert list(cache.iterdir()) == []
+    assert list(home.iterdir()) == []
 
 
 def test_estimate_explicit_cn_sets_tau_null(data_csv, out):
@@ -147,6 +152,22 @@ def test_signal_writes_all_files(data_csv, out, tmp_path):
     assert all(a >= b for a, b in zip(dens, dens[1:]))
 
 
+def test_signal_has_no_seed(data_csv, out, tmp_path, capsys):
+    # signal draws nothing, so it takes no seed and records none
+    with pytest.raises(SystemExit) as exc:
+        main(["signal", "--data", data_csv, "--background", "uniform:0,1",
+              "--out-prefix", str(tmp_path / "s"), "--seed", "7"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    summary = out("sig3.json")
+    assert main(["signal", "--data", data_csv, "--background", "uniform:0,1",
+                 "--alpha-source", "value", "--alpha", "0.1",
+                 "--out-prefix", str(tmp_path / "s"), "--output", summary]) == 0
+    report = json.loads(open(summary).read())
+    jsonschema.validate(report, schema("signal_summary"))
+    assert set(report["provenance"]) == {"package", "numpy", "scipy"}
+
+
 def test_signal_with_explicit_alpha(data_csv, out, tmp_path):
     summary = out("sig2.json")
     rc = main(["signal", "--data", data_csv, "--background", "uniform:0,1",
@@ -193,6 +214,26 @@ def test_simulate_rejects_bad_config(tmp_path):
     assert main(["simulate", "--config", str(cfgp)]) == 2
     cfgp.write_text("{not json")
     assert main(["simulate", "--config", str(cfgp)]) == 2
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"estimators": ["cn:0.1", 3]}, "estimators must be a non-empty list of strings"),
+    ({"estimators": "elbow"}, "estimators must be a non-empty list of strings"),
+    ({"estimators": []}, "estimators must be a non-empty list of strings"),
+    ({"alpha": True}, "alpha must be a number"),
+    ({"rho": "0.5"}, "rho must be a number"),
+    ({"beta": None}, "beta must be a number"),
+    ({"m_star": 1e400}, "m_star must be finite"),
+    ({"m_star": float("nan")}, "m_star must be finite"),
+])
+def test_simulate_rejects_malformed_fields(tmp_path, capsys, override, message):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"scenario": "setting_ii", "n": 300, "alpha": 0.1,
+                                "replications": 2, **override}))
+    assert main(["simulate", "--config", str(cfgp)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("override", [{"curve_grid": 10.5}, {"n": 500.5},

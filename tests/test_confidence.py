@@ -1,10 +1,8 @@
 """Null quantile simulation, asymptotic table and the lower confidence bound."""
-import csv
 import math
 import pathlib
 import subprocess
 import sys
-import threading
 from importlib import resources
 from types import SimpleNamespace
 
@@ -15,11 +13,9 @@ import mixsep.confidence as confidence
 import mixsep.rng as rng
 from mixsep.confidence import (
     asymptotic_cvm_quantile,
-    cached_hn_quantile,
     critical_value,
     homogeneity_test,
     lower_bound,
-    resolve_cache_path,
     simulate_hn_quantile,
 )
 from mixsep.distributions import Beta, Uniform
@@ -148,27 +144,14 @@ def test_quantile_rejects_non_integral_sizes():
         simulate_hn_quantile(30, 0.05, 1000)
 
 
-def test_quantile_rejects_non_integer_seeds(tmp_path):
+def test_quantile_rejects_non_integer_seeds():
     for seed in (1.5, True, 1.0):
         with pytest.raises(ValueError, match="seed must be an integer"):
             simulate_hn_quantile(40, 0.05, 1000, seed)
         with pytest.raises(ValueError, match="seed must be an integer"):
-            cached_hn_quantile(40, 0.05, 1000, seed, cache_dir=tmp_path)
-        with pytest.raises(ValueError, match="seed must be an integer"):
             critical_value(40, 0.05, seed=seed)
-    assert not (tmp_path / "hn_quantiles.csv").exists()
     assert simulate_hn_quantile(40, 0.05, 1000, np.uint16(1)) == \
         simulate_hn_quantile(40, 0.05, 1000, 1)
-
-
-def test_cache_hit_keeps_the_argument_checks(tmp_path):
-    cached_hn_quantile(100, 0.05, 1000, 1, cache_dir=tmp_path)
-    with pytest.raises(ValueError, match="n must be an integer"):
-        cached_hn_quantile(100.5, 0.05, 1000, 1, cache_dir=tmp_path)
-    with pytest.raises(ValueError, match="b must be an integer"):
-        cached_hn_quantile(100, 0.05, 1000.9, 1, cache_dir=tmp_path)
-    with pytest.raises(ValueError, match="seed must be an integer"):
-        cached_hn_quantile(100, 0.05, 1000, True, cache_dir=tmp_path)
 
 
 def test_critical_value_checks_its_arguments_on_every_route(drawn_rows):
@@ -207,14 +190,6 @@ def test_shipped_table_covers_every_default_key():
         assert q10 < q05 < q01
 
 
-def test_shipped_table_reads_as_a_disk_cache(tmp_path, drawn_rows):
-    text, table = shipped_table()
-    (tmp_path / "hn_quantiles.csv").write_text(text, encoding="utf-8")
-    for key in [(1, "0.1", 10_000, DEFAULT_SEED), (499, "0.01", 10_000, DEFAULT_SEED)]:
-        assert cached_hn_quantile(key[0], float(key[1]), cache_dir=tmp_path) == table[key]
-    assert drawn_rows.rows == []
-
-
 @pytest.mark.parametrize("beta", TABLE_LEVELS)
 @pytest.mark.parametrize("n", [1, 2, 3, 59, 120, 275, 498, 499])
 def test_tabulated_critical_value_equals_simulation(n, beta):
@@ -222,18 +197,29 @@ def test_tabulated_critical_value_equals_simulation(n, beta):
     assert critical_value(n, beta) == tabulated == simulate_hn_quantile(n, beta, 10_000, DEFAULT_SEED)
 
 
-def test_table_route_draws_no_row(drawn_rows, tmp_path, monkeypatch):
-    monkeypatch.setenv("MIXSEP_CACHE_DIR", str(tmp_path))
+def test_table_route_draws_no_row(drawn_rows):
     critical_value(120, 0.05)
-    critical_value(np.int64(275), 0.01, seed=np.uint16(DEFAULT_SEED), cache=True)
+    critical_value(np.int64(275), 0.01, seed=np.uint16(DEFAULT_SEED))
     assert drawn_rows.rows == []
-    assert list(tmp_path.iterdir()) == []
     # another seed or an untabulated level still simulates
     critical_value(120, 0.05, seed=7)
     assert len(drawn_rows.rows) == 10_000
-    critical_value(120, 0.2, cache=True)
+    critical_value(120, 0.2)
     assert len(drawn_rows.rows) == 20_000
-    assert len(resolve_cache_path().read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("row", [
+    "120,0.05,10000",
+    "120,0.05,10000,59,0.6,1",
+    "120,0.05,10000,59,",
+    "12x,0.05,10000,59,0.6",
+    "120,0.05,10000,1.5,0.6",
+    "",
+])
+def test_table_reader_raises_on_a_malformed_row(row):
+    text = f"n,beta,B,seed,quantile\n120,0.1,10000,59,0.5\n{row}\n"
+    with pytest.raises(ValueError, match="line 3: malformed row"):
+        dict(confidence._read_rows(text))
 
 
 def test_import_does_not_load_the_table():
@@ -283,97 +269,6 @@ def test_asymptotic_quantile_unsupported_level():
 def test_simulated_approaches_asymptotic():
     q_n = simulate_hn_quantile(5000, 0.05, b=4000, seed=0)
     assert abs(q_n - asymptotic_cvm_quantile(0.05)) < 0.03
-
-
-def test_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("MIXSEP_CACHE_DIR", str(tmp_path))
-    assert resolve_cache_path().parent == tmp_path
-    first = cached_hn_quantile(120, 0.05, 2000, 9)
-    # second call must hit the CSV, not the simulator
-    text_before = resolve_cache_path().read_text()
-    second = cached_hn_quantile(120, 0.05, 2000, 9)
-    assert first == second
-    assert resolve_cache_path().read_text() == text_before
-    assert first == simulate_hn_quantile(120, 0.05, 2000, 9)
-
-
-def test_cache_distinguishes_parameters(tmp_path):
-    a = cached_hn_quantile(80, 0.05, 2000, 1, cache_dir=tmp_path)
-    b = cached_hn_quantile(80, 0.10, 2000, 1, cache_dir=tmp_path)
-    lines = (tmp_path / "hn_quantiles.csv").read_text().strip().splitlines()
-    assert len(lines) == 3  # header + two entries
-    assert a != b
-
-
-def test_cache_write_replaces_the_file(tmp_path, monkeypatch):
-    path = tmp_path / "hn_quantiles.csv"
-    cached_hn_quantile(70, 0.05, 1000, 1, cache_dir=tmp_path)
-    before = path.read_bytes()
-    # a failed replace leaves the old file whole and no temp file behind
-    def broken_replace(src, dst):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(confidence.os, "replace", broken_replace)
-    with pytest.raises(OSError, match="disk full"):
-        cached_hn_quantile(70, 0.10, 1000, 1, cache_dir=tmp_path)
-    assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["hn_quantiles.csv"]
-    monkeypatch.undo()
-    b = cached_hn_quantile(70, 0.10, 1000, 1, cache_dir=tmp_path)
-    assert path.read_bytes().startswith(before)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["hn_quantiles.csv"]
-    assert cached_hn_quantile(70, 0.10, 1000, 1, cache_dir=tmp_path) == b
-
-
-def test_concurrent_cache_writes_leave_a_well_formed_file(tmp_path, monkeypatch):
-    # every writer misses, then all of them write at once
-    keys = [(50, 0.05, 1000, seed) for seed in range(8)]
-    barrier = threading.Barrier(len(keys), timeout=30)
-
-    def simulate_after_all_missed(n, beta, b, seed):
-        barrier.wait()
-        return seed + 0.5
-
-    monkeypatch.setattr(confidence, "simulate_hn_quantile", simulate_after_all_missed)
-    errors = []
-
-    def worker(key):
-        try:
-            cached_hn_quantile(*key, cache_dir=tmp_path)
-        except Exception as exc:  # reported by the assertion below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker, args=(k,)) for k in keys]
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    # rows may be lost to a later writer, never torn or duplicated
-    with open(tmp_path / "hn_quantiles.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["n", "beta", "B", "seed", "quantile"]
-    assert 1 <= len(rows) - 1 <= len(keys)
-    for n, beta, b, seed, q in rows[1:]:
-        assert (int(n), float(beta), int(b), int(seed)) in keys
-        assert float(q) == int(seed) + 0.5
-    assert len({tuple(r) for r in rows}) == len(rows)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["hn_quantiles.csv"]
-
-
-def test_cache_appends_after_a_row_without_newline(tmp_path):
-    path = tmp_path / "hn_quantiles.csv"
-    path.write_text("n,beta,B,seed,quantile\r\n70,0.05,1000,1,0.5", newline="")
-    q = cached_hn_quantile(70, 0.10, 1000, 1, cache_dir=tmp_path)
-    assert cached_hn_quantile(70, 0.05, 1000, 1, cache_dir=tmp_path) == 0.5
-    assert cached_hn_quantile(70, 0.10, 1000, 1, cache_dir=tmp_path) == q
-    assert len(path.read_text().splitlines()) == 3
 
 
 def pure_background(n, seed):

@@ -24,9 +24,12 @@ def test_import_does_not_load_scipy_stats():
 def test_removed_names_stay_removed():
     import inspect
 
-    for name in ("CriticalValueSpec", "naive_component_values", "clip_unit", "closest_gaussian"):
+    for name in ("CriticalValueSpec", "naive_component_values", "clip_unit", "closest_gaussian",
+                 "cached_hn_quantile", "resolve_cache_path"):
         assert name not in mixsep.__all__
         assert not hasattr(mixsep, name)
+        assert not hasattr(mixsep.confidence, name)
+    assert list(inspect.signature(mixsep.critical_value).parameters) == ["n", "beta", "seed"]
     for fn in (mixsep.lower_bound, mixsep.homogeneity_test):
         assert list(inspect.signature(fn).parameters) == ["sample", "background", "beta"]
     assert list(inspect.signature(mixsep.asymptotic_cvm_quantile).parameters) == ["beta"]

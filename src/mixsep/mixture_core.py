@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import KnownCdf
 from ._validate import check_count
-from .shape_restricted import isotonic_regression
+from .shape_restricted import _Pava
 
 __all__ = [
     "SortedSample",
@@ -170,7 +170,10 @@ class _Criterion:
     positively homogeneous, ``gamma * naive = D + gamma * f`` is
     projected directly and clipped to ``[0, gamma]``, with no division.
     :meth:`fit` is that projection; ``values`` holds the sample value of
-    each collapsed point.
+    each collapsed point.  The projection runs in one :class:`_Pava`
+    workspace built here, so no array of the sample's length is allocated
+    per gamma; construction has already checked what the workspace needs
+    (finite ``F_b``, positive run-length weights).
     """
 
     def __init__(self, sample: SortedSample, background: KnownCdf):
@@ -190,6 +193,7 @@ class _Criterion:
         self._f = fb
         self._n = sample.n
         self._y = np.empty_like(fb)
+        self._pava = _Pava(self._weights, fb.size)
 
     def _rms(self, r: np.ndarray) -> float:
         """Weighted root mean square over the n sample points; squares ``r`` in place."""
@@ -200,12 +204,13 @@ class _Criterion:
     def fit(self, gamma: float) -> np.ndarray:
         """``gamma`` times the projected signal CDF at the collapsed points.
 
-        Returns ``clip(iso(y), 0, gamma)`` as a new array and leaves
-        ``y = D + gamma * f`` in ``self._y``.
+        Returns ``clip(iso(y), 0, gamma)`` in the workspace's buffer, which
+        the next call overwrites, and leaves ``y = D + gamma * f`` in
+        ``self._y``.
         """
         y = np.multiply(self._f, gamma, out=self._y)
         y += self._d
-        r = isotonic_regression(y, self._weights)
+        r = self._pava(y)
         return np.clip(r, 0.0, gamma, out=r)
 
     def __call__(self, gamma: float) -> float:

@@ -6,13 +6,20 @@ finite point sets.  The isotonic fit is the projection step that turns a
 raw component-CDF estimate into a valid distribution function (the caller
 clamps the fit to the CDF's range), and the majorant turns that CDF into
 one with a non-increasing density.
+
+The compiled routine, ``scipy.optimize._pava_pybind.pava``, is called
+directly through :class:`_Pava`, not through the public
+:func:`scipy.optimize.isotonic_regression`.  The public wrapper allocates
+and first-touches three fresh arrays on every call; the mixture criterion
+projects one vector length once per gamma, hundreds of times per fit, so it
+keeps one :class:`_Pava` workspace and reuses its buffers instead.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression as _scipy_isotonic_regression
+from scipy.optimize._pava_pybind import pava as _pava
 
 __all__ = [
     "isotonic_regression",
@@ -24,14 +31,55 @@ __all__ = [
 _CONCAVITY_TOL = 1e-12
 
 
+class _Pava:
+    """Reusable buffers for scipy's compiled pool-adjacent-violators.
+
+    Owns the three arrays the compiled routine works in: the values ``x``
+    and the weights ``w`` (``size`` floats each) and the block bounds ``r``
+    (``size + 1`` ``intp``).  Each call refills them, so projecting many
+    vectors of one length allocates no array of that length.  ``weights``
+    (positive, finite, length ``size``) or ``None`` for uniform weights is
+    fixed at construction.  No input is checked: callers pass finite values
+    of length ``size``.
+    """
+
+    __slots__ = ("_weights", "_x", "_w", "_r")
+
+    def __init__(self, weights, size: int):
+        self._weights = weights
+        self._x = np.empty(size)
+        self._w = np.empty(size)
+        self._r = np.empty(size + 1, dtype=np.intp)
+
+    def __call__(self, values) -> np.ndarray:
+        """The weighted isotonic fit of ``values``.
+
+        Returns the workspace's value buffer, which the next call
+        overwrites.
+        """
+        np.copyto(self._x, values)
+        if self._weights is None:
+            self._w.fill(1.0)
+        else:
+            np.copyto(self._w, self._weights)
+        self._r.fill(-1)
+        # pybind11 copies an input that is not a contiguous array of the
+        # declared dtype, so read the fit from what the routine returns.
+        x, _, _, _ = _pava(self._x, self._w, self._r)
+        return x
+
+
 def isotonic_regression(values, weights=None) -> np.ndarray:
     """Weighted least-squares isotonic regression.
 
     Minimises ``sum(w_i * (theta_i - v_i)**2)`` over non-decreasing
-    ``theta``.  The fit is delegated to
-    :func:`scipy.optimize.isotonic_regression` (compiled
-    pool-adjacent-violators, O(n)); this wrapper keeps the input checks and
-    error messages below, which scipy does not make in the same form.
+    ``theta``.  The fit is scipy's compiled pool-adjacent-violators
+    (``scipy.optimize._pava_pybind.pava``, O(n)), the routine behind
+    :func:`scipy.optimize.isotonic_regression`, called through a fresh
+    :class:`_Pava` workspace whose buffer the caller then owns.  This
+    function makes the input checks and raises the error messages below;
+    the workspace makes none, so that a caller projecting validated data
+    many times does not pay scipy's per-call allocations.
 
     Parameters
     ----------
@@ -69,7 +117,8 @@ def isotonic_regression(values, weights=None) -> np.ndarray:
             raise ValueError("weights must match values in length")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("weights must be positive and finite")
-    return _scipy_isotonic_regression(v, weights=w).x
+    return _Pava(w, v.size)(v)
+
 
 
 @dataclass(frozen=True, eq=False)

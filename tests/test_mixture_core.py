@@ -1,5 +1,6 @@
 """Criterion, thresholded estimator and elbow: pinned values and structural laws."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from mixsep.mixture_core import (
     isotonized_cdf,
 )
 from mixsep.rng import stream
-from mixsep.shape_restricted import isotonic_regression
+from mixsep.shape_restricted import _Pava, isotonic_regression
 from mixsep.signal_recovery import recover_signal
 
 UNIF = Uniform(0.0, 1.0)
@@ -164,14 +165,15 @@ _CASES = {
 
 @pytest.fixture()
 def projections(monkeypatch):
-    """Sizes of the inputs that mixture_core hands to isotonic_regression."""
+    """Sizes of the inputs that mixture_core's PAVA workspaces project."""
     sizes = []
 
-    def counting(values, weights=None):
-        sizes.append(len(values))
-        return isotonic_regression(values, weights)
+    class Counting(_Pava):
+        def __call__(self, values):
+            sizes.append(len(values))
+            return super().__call__(values)
 
-    monkeypatch.setattr(mixture_core, "isotonic_regression", counting)
+    monkeypatch.setattr(mixture_core, "_Pava", Counting)
     return sizes
 
 
@@ -283,6 +285,21 @@ def test_recover_signal_evaluates_and_projects_once(projections, monkeypatch, de
     recover_signal(s, UNIF, 0.2)
     assert calls == [s.n]
     assert projections == [np.unique(s.values).size]
+
+
+def test_criterion_allocates_no_sample_length_array_per_gamma():
+    n = 20_000
+    s = SortedSample.from_data(stream(16, 2024).random(n))
+    crit = mixture_core._Criterion(s, UNIF)
+    crit(0.5)
+    tracemalloc.start()
+    try:
+        for g in np.linspace(0.05, 1.0, 20).tolist():
+            crit(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 8
 
 
 # --- metamorphic laws ---------------------------------------------------------------

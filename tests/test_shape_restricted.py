@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import isotonic_regression as scipy_isotonic_regression
 
 from mixsep.shape_restricted import (
     PiecewiseLinearConcaveFn,
+    _Pava,
     isotonic_regression,
     least_concave_majorant,
 )
@@ -165,6 +167,52 @@ def test_pava_preserves_weighted_mass(pairs):
     ws = np.asarray([p[1] for p in pairs])
     fit = isotonic_regression(ys, weights=ws)
     assert np.dot(ws, fit) == pytest.approx(np.dot(ws, ys), abs=1e-9 * (1 + abs(np.dot(ws, ys))))
+
+
+@st.composite
+def workspace_runs(draw):
+    """One length, one weight vector and a sequence of value vectors.
+
+    The weights are uniform (``None``), positive floats, or the integer run
+    lengths that the mixture criterion builds for tied points; each value
+    vector is either arbitrary or drawn from four values, so that it ties.
+    """
+    n = draw(st.integers(min_value=1, max_value=40))
+    kind = draw(st.sampled_from(["uniform", "floats", "run_lengths"]))
+    if kind == "uniform":
+        w = None
+    elif kind == "floats":
+        w = np.asarray(draw(st.lists(pos_weights, min_size=n, max_size=n)))
+    else:
+        w = np.asarray(draw(st.lists(st.integers(min_value=1, max_value=50),
+                                     min_size=n, max_size=n)), dtype=float)
+    tied_vals = st.sampled_from([-1.0, 0.0, 0.25, 1.0])
+    vector = st.one_of(st.lists(finite_vals, min_size=n, max_size=n),
+                       st.lists(tied_vals, min_size=n, max_size=n))
+    ys = draw(st.lists(vector, min_size=1, max_size=6))
+    return w, [np.asarray(y, dtype=float) for y in ys]
+
+
+@settings(max_examples=200, deadline=None)
+@given(workspace_runs())
+def test_reused_workspace_gives_scipys_fit_bit_for_bit(run):
+    w, ys = run
+    pava = _Pava(w, ys[0].size)
+    for y in ys:
+        got = pava(y)
+        want = scipy_isotonic_regression(y, weights=w).x
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        # the fit is the workspace's own buffer: the compiled routine was
+        # handed it as is, not a converted copy
+        assert np.shares_memory(got, pava._x)
+
+
+def test_public_fit_is_a_fresh_array_each_call():
+    y = np.array([0.5, 0.2, 0.8])
+    first, second = isotonic_regression(y), isotonic_regression(y)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, y)
+    np.testing.assert_array_equal(y, [0.5, 0.2, 0.8])
 
 
 def loop_lcm(x, y):

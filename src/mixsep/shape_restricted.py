@@ -43,8 +43,6 @@ class _Pava:
     of length ``size``.
     """
 
-    __slots__ = ("_weights", "_x", "_w", "_r")
-
     def __init__(self, weights, size: int):
         self._weights = weights
         self._x = np.empty(size)
@@ -118,7 +116,6 @@ def isotonic_regression(values, weights=None) -> np.ndarray:
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("weights must be positive and finite")
     return _Pava(w, v.size)(v)
-
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,8 +26,8 @@ from io import StringIO
 import numpy as np
 
 from . import __version__
-from .confidence import critical_value
-from .distributions import KnownCdf, Uniform, parse_distribution
+from .confidence import homogeneity_test
+from .distributions import Beta, Exponential, KnownCdf, Uniform, parse_distribution
 from .identifiability import MixtureSpec, alpha0_auto, alpha0_continuous, alpha0_discrete
 from .mixture_core import (
     NoElbowError,
@@ -37,7 +37,6 @@ from .mixture_core import (
     elbow_estimate,
     estimate_alpha_cn,
 )
-from .rng import DEFAULT_SEED
 from .signal_recovery import lfdr, recover_signal
 from .sim_harness import ScenarioConfig, run_replications
 
@@ -126,13 +125,20 @@ def _warn_support(data: np.ndarray, background: KnownCdf):
     # Values outside a bounded background support usually mean the wrong
     # background was specified; keep going but say so.
     if isinstance(background, Uniform):
-        outside = int(((data < background.lo) | (data > background.hi)).sum())
-        if outside:
-            print(
-                f"warning: {outside} observations fall outside the background "
-                f"support [{background.lo}, {background.hi}]",
-                file=sys.stderr,
-            )
+        lo, hi = background.lo, background.hi
+    elif isinstance(background, Beta):
+        lo, hi = 0.0, 1.0
+    elif isinstance(background, Exponential):
+        lo, hi = background.loc, math.inf
+    else:
+        return
+    outside = int(((data < lo) | (data > hi)).sum())
+    if outside:
+        print(
+            f"warning: {outside} observations fall outside the background "
+            f"support [{lo}, {hi}]",
+            file=sys.stderr,
+        )
 
 
 def _write_text(path: str | None, text: str):
@@ -194,10 +200,9 @@ def _cmd_estimate(args) -> int:
 
     alpha_lower = beta = critical = reject = None
     if not args.skip_lower:
-        beta = args.beta
-        critical = critical_value(sample.n, beta, args.seed)
-        alpha_lower = estimate_alpha_cn(sample, background, critical)
-        reject = alpha_lower > 0.0
+        test = homogeneity_test(sample, background, args.beta)
+        alpha_lower, beta, critical, reject = (
+            test.alpha_lower, test.beta, test.critical_value, test.reject)
 
     payload = {
         "n": sample.n,
@@ -211,7 +216,7 @@ def _cmd_estimate(args) -> int:
         "beta": beta,
         "critical_value": critical,
         "reject_homogeneity": reject,
-        "provenance": {**_provenance(), "seed": args.seed},
+        "provenance": _provenance(),
     }
     _write_text(args.output, _json_text(payload))
     return 0
@@ -409,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-elbow", action="store_true", help="do not fit the elbow")
     p.add_argument("--skip-lower", action="store_true",
                    help="do not compute the lower confidence bound")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"seed for simulated critical values (default {DEFAULT_SEED})")
     p.add_argument("--output", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_estimate)
 

@@ -32,7 +32,7 @@ import numpy as np
 from ._validate import check_count, check_seed
 from .distributions import KnownCdf
 from .mixture_core import SortedSample, estimate_alpha_cn
-from .rng import DEFAULT_SEED, uniform_rows
+from .rng import DEFAULT_SEED, stream
 
 __all__ = [
     "HomogeneityResult",
@@ -124,7 +124,8 @@ def _hn_quantile(n: int, beta: float, b: int, seed: int) -> float:
     stats = np.empty(b)
     for start in range(0, b, rows):
         chunk = buf[:min(rows, b - start)]
-        uniform_rows(chunk, seed, _NS_HN, start=start)
+        for i, row in enumerate(chunk):
+            stream(seed, _NS_HN, start + i).random(out=row)
         chunk.sort(axis=1)
         diff = grid - chunk
         stats[start:start + len(chunk)] = np.sqrt(n * np.mean(diff * diff, axis=1))
@@ -148,21 +149,21 @@ def asymptotic_cvm_quantile(beta: float) -> float:
     )
 
 
-def critical_value(n: int, beta: float, seed: int = DEFAULT_SEED) -> float:
-    """Default threshold for a sample of size ``n`` at level ``beta``.
+def critical_value(n: int, beta: float) -> float:
+    """Threshold for a sample of size ``n`` at level ``beta``: one number per ``(n, beta)``.
 
     From ``n = ASYMPTOTIC_N`` on this is the asymptotic quantile.  Below
     it, it is the Monte Carlo quantile with the default ``b`` replications
-    and the given ``seed``: read from the shipped table at the default seed
-    and levels, otherwise :func:`simulate_hn_quantile` (once per process).
+    at ``DEFAULT_SEED``: read from the shipped table at the three tabulated
+    levels, otherwise :func:`simulate_hn_quantile` (once per process).
     """
-    _check_quantile_args(n, beta, _DEFAULT_B, seed)
+    _check_quantile_args(n, beta, _DEFAULT_B, DEFAULT_SEED)
     if n >= ASYMPTOTIC_N:
         return asymptotic_cvm_quantile(beta)
-    tabulated = _table().get(_key(n, beta, _DEFAULT_B, seed))
+    tabulated = _table().get(_key(n, beta, _DEFAULT_B, DEFAULT_SEED))
     if tabulated is not None:
         return tabulated
-    return simulate_hn_quantile(n, beta, seed=seed)
+    return simulate_hn_quantile(n, beta)
 
 
 def lower_bound(sample: SortedSample, background: KnownCdf, beta: float = 0.05) -> float:
@@ -177,7 +178,7 @@ def lower_bound(sample: SortedSample, background: KnownCdf, beta: float = 0.05) 
     ``sqrt(n) * d_n(F_n, F_b)`` stays within that quantile.  For another
     threshold call :func:`~mixsep.mixture_core.estimate_alpha_cn` directly.
     """
-    return estimate_alpha_cn(sample, background, critical_value(sample.n, beta))
+    return homogeneity_test(sample, background, beta).alpha_lower
 
 
 def homogeneity_test(sample: SortedSample, background: KnownCdf, beta: float = 0.05) -> HomogeneityResult:

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special
 
 from ._validate import check_count
-from .confidence import critical_value
+from .confidence import lower_bound
 from .distributions import Beta, KnownCdf, Normal, Uniform
 from .identifiability import essinf_density_ratio
 from .mixture_core import (
@@ -352,8 +352,6 @@ def run_replications(cfg: ScenarioConfig) -> MetricsTable:
     background = background_for(cfg)
     alpha0 = alpha0_reference(cfg)
     parsed = [(_parse_estimator(spec), spec) for spec in cfg.estimators]
-    needs_lower = any(kind == "lower_bound" for (kind, _), _ in parsed)
-    c_lower = critical_value(cfg.n, cfg.beta, cfg.base_seed) if needs_lower else None
 
     def one_rep(rep: int) -> dict[str, float]:
         sample = SortedSample.from_data(generate(cfg, rep))
@@ -371,7 +369,7 @@ def run_replications(cfg: ScenarioConfig) -> MetricsTable:
                 except NoElbowError:
                     out[spec] = 0.0  # flat curve: no detectable signal
             else:
-                out[spec] = estimate_alpha_cn(sample, background, c_lower)
+                out[spec] = lower_bound(sample, background, cfg.beta)
         return out
 
     per_rep = [one_rep(rep) for rep in range(cfg.replications)]

@@ -61,12 +61,11 @@ def test_estimate_rerun_is_byte_identical(data_csv, out):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-@pytest.mark.parametrize("extra_args, beta, seed", [
-    ([], 0.05, DEFAULT_SEED),
-    (["--seed", "7"], 0.05, 7),
-    (["--beta", "0.2"], 0.2, DEFAULT_SEED),
-], ids=["default", "seed7", "beta0.2"])
-def test_estimate_writes_no_quantile_file(tmp_path, monkeypatch, out, extra_args, beta, seed):
+@pytest.mark.parametrize("extra_args, beta", [
+    ([], 0.05),
+    (["--beta", "0.2"], 0.2),
+], ids=["default", "beta0.2"])
+def test_estimate_writes_no_quantile_file(tmp_path, monkeypatch, out, extra_args, beta):
     lines = (FIXTURES / "setting_ii_n5000.csv").read_text(encoding="utf-8").splitlines()
     cut = tmp_path / "cut_n300.csv"
     cut.write_text("\n".join(lines[:301]) + "\n", encoding="utf-8")
@@ -80,9 +79,23 @@ def test_estimate_writes_no_quantile_file(tmp_path, monkeypatch, out, extra_args
                  "--skip-elbow", "--output", out("est.json"), *extra_args]) == 0
     report = json.loads(open(out("est.json")).read())
     assert report["n"] == 300
-    assert report["critical_value"] == simulate_hn_quantile(300, beta, 10_000, seed)
+    assert report["critical_value"] == simulate_hn_quantile(300, beta, 10_000, DEFAULT_SEED)
     assert list(cache.iterdir()) == []
     assert list(home.iterdir()) == []
+
+
+def test_estimate_has_no_seed(data_csv, out, capsys):
+    # the threshold is a function of (n, beta), so estimate takes no seed
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--data", data_csv, "--background", "uniform:0,1", "--seed", "7"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    path = out("est.json")
+    assert main(["estimate", "--data", data_csv, "--background", "uniform:0,1",
+                 "--skip-elbow", "--output", path]) == 0
+    report = json.loads(open(path).read())
+    jsonschema.validate(report, schema("estimate_report"))
+    assert set(report["provenance"]) == {"package", "numpy", "scipy"}
 
 
 def test_estimate_explicit_cn_sets_tau_null(data_csv, out):
@@ -321,12 +334,22 @@ def test_column_selection_by_name_and_index(tmp_path, out):
 
 
 def test_out_of_support_data_warns_but_runs(tmp_path, out, capsys):
-    p = tmp_path / "odd.csv"
-    p.write_text("0.5\n0.7\n1.3\n0.2\n0.9\n0.4\n")
-    rc = main(["estimate", "--data", str(p), "--background", "uniform:0,1",
-               "--skip-lower", "--skip-elbow", "--output", out("odd.json")])
-    assert rc == 0
-    assert "outside the background support" in capsys.readouterr().err
+    cases = [
+        ("uniform:0,1", "0.5 0.7 1.3 0.2 0.9 0.4", "1 observations fall outside the background support [0.0, 1.0]"),
+        ("beta:1,10", "0.05 0.1 1.5 0.2 2.0 0.01", "2 observations fall outside the background support [0.0, 1.0]"),
+        ("exponential:0.5,1", "0.6 0.2 1.5 0.4 2.5 0.9", "2 observations fall outside the background support [0.5, inf]"),
+    ]
+    for background, values, warning in cases:
+        p = tmp_path / "odd.csv"
+        p.write_text("\n".join(values.split()) + "\n")
+        rc = main(["estimate", "--data", str(p), "--background", background,
+                   "--skip-lower", "--skip-elbow", "--output", out("odd.json")])
+        assert rc == 0
+        assert capsys.readouterr().err == f"warning: {warning}\n"
+        # the warning goes to stderr only; the report is unchanged
+        assert main(["estimate", "--data", str(p), "--background", background,
+                     "--skip-lower", "--skip-elbow"]) == 0
+        assert capsys.readouterr().out == open(out("odd.json")).read()
 
 
 def test_flat_curve_elbow_is_numerical_failure(tmp_path, capsys):

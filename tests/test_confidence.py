@@ -1,16 +1,15 @@
 """Null quantile simulation, asymptotic table and the lower confidence bound."""
+import inspect
 import math
 import pathlib
 import subprocess
 import sys
 from importlib import resources
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import mixsep.confidence as confidence
-import mixsep.rng as rng
 from mixsep.confidence import (
     asymptotic_cvm_quantile,
     critical_value,
@@ -20,7 +19,8 @@ from mixsep.confidence import (
 )
 from mixsep.distributions import Beta, Uniform
 from mixsep.mixture_core import SortedSample
-from mixsep.rng import DEFAULT_SEED, stream, uniform_rows
+from mixsep.rng import DEFAULT_SEED, stream
+from mixsep.sim_harness import ScenarioConfig, generate, run_replications
 
 UNIF = Uniform(0.0, 1.0)
 
@@ -45,26 +45,20 @@ def loop_hn_quantile(n, beta, b, seed):
 
 @pytest.fixture()
 def drawn_rows(monkeypatch):
-    """Empty the quantile memo and record the key paths the simulation draws.
+    """Empty the quantile memo and record the key path of each stream the module draws.
 
-    ``rows`` gets one entry per row drawn through ``uniform_rows``,
-    ``streams`` one per call to ``stream``.
+    The simulation draws one stream per replication, so the list gets one
+    entry per simulated row.
     """
     confidence._hn_quantile.cache_clear()
-    log = SimpleNamespace(rows=[], streams=[])
-
-    def counting_rows(out, seed, *key, start=0):
-        log.rows.extend((*key, start + i) for i in range(len(out)))
-        return uniform_rows(out, seed, *key, start=start)
+    rows = []
 
     def counting_stream(seed, *key):
-        log.streams.append(key)
+        rows.append(key)
         return stream(seed, *key)
 
-    monkeypatch.setattr(confidence, "uniform_rows", counting_rows)
-    monkeypatch.setattr(rng, "stream", counting_stream)
-    monkeypatch.setattr(confidence, "stream", counting_stream, raising=False)
-    yield log
+    monkeypatch.setattr(confidence, "stream", counting_stream)
+    yield rows
     confidence._hn_quantile.cache_clear()
 
 
@@ -92,15 +86,12 @@ def test_chunked_quantile_equals_loop_at_every_tested_rank():
 
 def test_repeated_quantile_is_not_simulated_again(drawn_rows):
     first = simulate_hn_quantile(90, 0.05, b=1000, seed=4)
-    assert len(drawn_rows.rows) == 1000
+    assert len(drawn_rows) == 1000
     assert simulate_hn_quantile(90, 0.05, b=1000, seed=4) == first
-    assert len(drawn_rows.rows) == 1000
+    assert len(drawn_rows) == 1000
     # any change of key simulates afresh
     simulate_hn_quantile(90, 0.05, b=1000, seed=5)
-    assert len(drawn_rows.rows) == 2000
-    # every row comes from the batch derivation, none from its own stream
-    assert drawn_rows.rows == [(confidence._NS_HN, rep) for rep in range(1000)] * 2
-    assert drawn_rows.streams == []
+    assert drawn_rows == [(confidence._NS_HN, rep) for rep in range(1000)] * 2
 
 
 def test_lower_bound_and_homogeneity_test_share_one_simulation(drawn_rows):
@@ -108,16 +99,27 @@ def test_lower_bound_and_homogeneity_test_share_one_simulation(drawn_rows):
     # at a tabulated level neither call simulates
     bound = lower_bound(s, UNIF, beta=0.05)
     res = homogeneity_test(s, UNIF, beta=0.05)
-    assert len(drawn_rows.rows) == 0
+    assert drawn_rows == []
     assert res.alpha_lower == bound
     assert res.critical_value == critical_value(120, 0.05)
     # at an untabulated level the two calls share one simulation
     bound = lower_bound(s, UNIF, beta=0.2)
     res = homogeneity_test(s, UNIF, beta=0.2)
-    assert len(drawn_rows.rows) == 10_000
-    assert drawn_rows.streams == []
+    assert len(drawn_rows) == 10_000
     assert res.alpha_lower == bound
     assert res.critical_value == critical_value(120, 0.2)
+
+
+def test_replications_use_the_lower_bound_threshold(drawn_rows):
+    # a non-default base_seed below n = 500 reads the same threshold as
+    # every other caller instead of simulating one at that seed
+    cfg = ScenarioConfig(scenario="setting_ii", n=300, alpha=0.1, replications=5,
+                         base_seed=7, estimators=["lower_bound"])
+    (row,) = run_replications(cfg).rows
+    assert not any(key[:1] == (confidence._NS_HN,) for key in drawn_rows)
+    bounds = [lower_bound(SortedSample.from_data(generate(cfg, rep)), UNIF, cfg.beta)
+              for rep in range(cfg.replications)]
+    assert row.mean == float(np.mean(bounds))
 
 
 def test_quantile_checks_survive_a_memo_hit():
@@ -148,8 +150,6 @@ def test_quantile_rejects_non_integer_seeds():
     for seed in (1.5, True, 1.0):
         with pytest.raises(ValueError, match="seed must be an integer"):
             simulate_hn_quantile(40, 0.05, 1000, seed)
-        with pytest.raises(ValueError, match="seed must be an integer"):
-            critical_value(40, 0.05, seed=seed)
     assert simulate_hn_quantile(40, 0.05, 1000, np.uint16(1)) == \
         simulate_hn_quantile(40, 0.05, 1000, 1)
 
@@ -158,16 +158,16 @@ def test_critical_value_checks_its_arguments_on_every_route(drawn_rows):
     # asymptotic route
     with pytest.raises(ValueError, match="n must be an integer"):
         critical_value(600.5, 0.05)
-    with pytest.raises(ValueError, match="seed must be an integer"):
-        critical_value(600, 0.05, seed=1.5)
-    # table route
+    with pytest.raises(ValueError, match="beta must lie"):
+        critical_value(600, 1.5)
+    # table and simulation routes
     with pytest.raises(ValueError, match="n must be an integer"):
         critical_value(100.5, 0.05)
-    with pytest.raises(ValueError, match="seed must be an integer"):
-        critical_value(100, 0.05, seed=True)
     with pytest.raises(ValueError, match="n must be at least 1"):
         critical_value(0, 0.05)
-    assert drawn_rows.rows == []
+    with pytest.raises(ValueError, match="beta must lie"):
+        critical_value(100, 0.0)
+    assert drawn_rows == []
 
 
 TABLE_LEVELS = (0.10, 0.05, 0.01)
@@ -199,13 +199,13 @@ def test_tabulated_critical_value_equals_simulation(n, beta):
 
 def test_table_route_draws_no_row(drawn_rows):
     critical_value(120, 0.05)
-    critical_value(np.int64(275), 0.01, seed=np.uint16(DEFAULT_SEED))
-    assert drawn_rows.rows == []
-    # another seed or an untabulated level still simulates
-    critical_value(120, 0.05, seed=7)
-    assert len(drawn_rows.rows) == 10_000
+    critical_value(np.int64(275), 0.01)
+    assert drawn_rows == []
+    # an untabulated level simulates, once per process
     critical_value(120, 0.2)
-    assert len(drawn_rows.rows) == 20_000
+    assert len(drawn_rows) == 10_000
+    critical_value(120, 0.2)
+    assert len(drawn_rows) == 10_000
 
 
 @pytest.mark.parametrize("row", [
@@ -232,9 +232,11 @@ def test_import_does_not_load_the_table():
 
 
 def test_critical_value_policy():
+    # a threshold is a function of (n, beta) alone
+    assert list(inspect.signature(critical_value).parameters) == ["n", "beta"]
     assert critical_value(500, 0.05) == asymptotic_cvm_quantile(0.05)
-    assert critical_value(499, 0.05, seed=3) == simulate_hn_quantile(499, 0.05, 10_000, 3)
     assert critical_value(200, 0.10) == simulate_hn_quantile(200, 0.10, 10_000, DEFAULT_SEED)
+    assert critical_value(120, 0.2) == simulate_hn_quantile(120, 0.2, 10_000, DEFAULT_SEED)
     with pytest.raises(ValueError, match="tabulated only"):
         critical_value(800, 0.07)
 

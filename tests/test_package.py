@@ -29,7 +29,8 @@ def test_removed_names_stay_removed():
         assert name not in mixsep.__all__
         assert not hasattr(mixsep, name)
         assert not hasattr(mixsep.confidence, name)
-    assert list(inspect.signature(mixsep.critical_value).parameters) == ["n", "beta", "seed"]
+    assert not hasattr(mixsep.rng, "uniform_rows")
+    assert list(inspect.signature(mixsep.critical_value).parameters) == ["n", "beta"]
     for fn in (mixsep.lower_bound, mixsep.homogeneity_test):
         assert list(inspect.signature(fn).parameters) == ["sample", "background", "beta"]
     assert list(inspect.signature(mixsep.asymptotic_cvm_quantile).parameters) == ["beta"]

@@ -81,12 +81,7 @@ class SortedSample:
     @classmethod
     def from_data(cls, data) -> "SortedSample":
         """Sort raw observations and attach empirical CDF values."""
-        x = np.asarray(data, dtype=float).ravel()
-        if x.size == 0:
-            raise ValueError("empty sample")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("sample values must be finite")
-        x = np.sort(x)
+        x = np.sort(np.asarray(data, dtype=float).ravel())
         ecdf = np.searchsorted(x, x, side="right") / x.size
         return cls(values=x, ecdf=ecdf)
 
@@ -210,7 +205,7 @@ class _Criterion:
         """
         y = np.multiply(self._f, gamma, out=self._y)
         y += self._d
-        r = self._pava(y)
+        r, _ = self._pava(y)
         return np.clip(r, 0.0, gamma, out=r)
 
     def __call__(self, gamma: float) -> float:

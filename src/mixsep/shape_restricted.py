@@ -1,11 +1,13 @@
 """Shape-restricted regression primitives.
 
-Weighted isotonic regression (scipy's compiled pool-adjacent-violators
-behind the package's own input checks) and least concave majorants of
-finite point sets.  The isotonic fit is the projection step that turns a
-raw component-CDF estimate into a valid distribution function (the caller
-clamps the fit to the CDF's range), and the majorant turns that CDF into
-one with a non-increasing density.
+Weighted isotonic regression and least concave majorants of finite point
+sets, both on scipy's compiled pool-adjacent-violators.  The isotonic fit is
+the projection step that turns a raw component-CDF estimate into a valid
+distribution function (the caller clamps the fit to the CDF's range), and
+the majorant turns that CDF into one with a non-increasing density.  The
+majorant needs no hull loop of its own: its slopes are the antitonic fit of
+the chord slopes ``dy / dx`` weighted by ``dx`` (Barlow, Bartholomew,
+Bremner & Brunk 1972; Robertson, Wright & Dykstra 1988, ch. 1).
 
 The compiled routine, ``scipy.optimize._pava_pybind.pava``, is called
 directly through :class:`_Pava`, not through the public
@@ -49,11 +51,12 @@ class _Pava:
         self._w = np.empty(size)
         self._r = np.empty(size + 1, dtype=np.intp)
 
-    def __call__(self, values) -> np.ndarray:
-        """The weighted isotonic fit of ``values``.
+    def __call__(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """The weighted isotonic fit of ``values`` and its block starts.
 
-        Returns the workspace's value buffer, which the next call
-        overwrites.
+        Returns the fit and the index at which each pooled block starts
+        (ascending, beginning with 0).  Both are views of the workspace's
+        buffers, which the next call overwrites.
         """
         np.copyto(self._x, values)
         if self._weights is None:
@@ -63,8 +66,8 @@ class _Pava:
         self._r.fill(-1)
         # pybind11 copies an input that is not a contiguous array of the
         # declared dtype, so read the fit from what the routine returns.
-        x, _, _, _ = _pava(self._x, self._w, self._r)
-        return x
+        x, _, r, b = _pava(self._x, self._w, self._r)
+        return x, r[:b]
 
 
 def isotonic_regression(values, weights=None) -> np.ndarray:
@@ -115,7 +118,7 @@ def isotonic_regression(values, weights=None) -> np.ndarray:
             raise ValueError("weights must match values in length")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("weights must be positive and finite")
-    return _Pava(w, v.size)(v)
+    return _Pava(w, v.size)(v)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,14 +210,16 @@ def least_concave_majorant(knots, values) -> PiecewiseLinearConcaveFn:
 
     Returns the upper convex hull of the point set as a piecewise-linear
     function: the smallest concave function lying on or above every input
-    point.  Collinear interior points are dropped, so the returned knot set
-    is minimal.
+    point.  Its slopes are the antitonic fit of the chord slopes, weighted
+    by the gaps, on the same compiled routine as :func:`isotonic_regression`;
+    its knots are the input points where the pooled blocks start, plus the
+    last.  Collinear interior points are dropped, so the knot set is minimal.
 
     Raises
     ------
     ValueError
-        If lengths differ, the input is empty, or knots are tied or not
-        increasing.
+        If lengths differ, the input is empty or not finite, knots are tied
+        or not increasing, or a chord slope or gap overflows float64.
     """
     x = np.asarray(knots, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -224,27 +229,24 @@ def least_concave_majorant(knots, values) -> PiecewiseLinearConcaveFn:
         raise ValueError("empty sample")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("knots and values must be finite")
-    if np.any(np.diff(x) <= 0.0):
+    with np.errstate(all="ignore"):
+        dx = np.diff(x)
+        chords = np.diff(y) / dx
+    if np.any(dx <= 0.0):
         raise ValueError("knots must be strictly increasing (ties rejected)")
+    if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(chords))):
+        raise ValueError("chord slopes overflow: knot gaps too small or too large")
+    if x.size == 1:
+        return PiecewiseLinearConcaveFn(x, y)
 
-    # A point whose two neighbours share its value lies on the chord between
-    # them, so it is never a hull vertex: drop such points before the loop.
-    keep = np.ones(x.size, dtype=bool)
-    keep[1:-1] = (y[1:-1] != y[:-2]) | (y[1:-1] != y[2:])
-    x, y = x[keep], y[keep]
-
-    hx: list[float] = []
-    hy: list[float] = []
-    for xi, yi in zip(x.tolist(), y.tolist()):
-        # Pop the last hull point while it lies on or below the chord from
-        # the point before it to the incoming point.
-        while len(hx) >= 2:
-            turn = (hy[-1] - hy[-2]) * (xi - hx[-1]) - (yi - hy[-1]) * (hx[-1] - hx[-2])
-            if turn <= 0.0:
-                hx.pop()
-                hy.pop()
-            else:
-                break
-        hx.append(xi)
-        hy.append(yi)
-    return PiecewiseLinearConcaveFn(np.asarray(hx), np.asarray(hy))
+    # Each pooled block's fitted slope is the chord between its end points,
+    # so the knots keep the input's values.
+    _, starts = _Pava(dx, dx.size)(-chords)
+    at = np.append(starts, x.size - 1)
+    kx, ky = x[at], y[at]
+    # Adjacent blocks may share a slope: drop the knot between two equal
+    # chords, so that the knot set is minimal.
+    slopes = np.diff(ky) / np.diff(kx)
+    corner = np.ones(kx.size, dtype=bool)
+    corner[1:-1] = slopes[1:] != slopes[:-1]
+    return PiecewiseLinearConcaveFn(kx[corner], ky[corner])

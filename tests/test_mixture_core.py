@@ -78,8 +78,9 @@ def test_from_data_sorts_and_rejects_bad_input():
     np.testing.assert_allclose(s.values, [0.1, 0.5, 0.9])
     with pytest.raises(ValueError, match="empty sample"):
         SortedSample.from_data([])
-    with pytest.raises(ValueError):
-        SortedSample.from_data([0.1, np.inf])
+    for bad in ([0.1, np.inf], [np.nan, 0.2]):
+        with pytest.raises(ValueError, match="sample values must be finite"):
+            SortedSample.from_data(bad)
 
 
 # --- criterion ------------------------------------------------------------------

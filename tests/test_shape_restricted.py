@@ -5,12 +5,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression as scipy_isotonic_regression
 
+from mixsep.distributions import Beta, Uniform
+from mixsep.mixture_core import SortedSample
 from mixsep.shape_restricted import (
     PiecewiseLinearConcaveFn,
     _Pava,
     isotonic_regression,
     least_concave_majorant,
 )
+from mixsep.signal_recovery import estimate_fs
 
 
 def isotonic_oracle(y, w=None):
@@ -199,9 +202,10 @@ def test_reused_workspace_gives_scipys_fit_bit_for_bit(run):
     w, ys = run
     pava = _Pava(w, ys[0].size)
     for y in ys:
-        got = pava(y)
-        want = scipy_isotonic_regression(y, weights=w).x
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        got, starts = pava(y)
+        want = scipy_isotonic_regression(y, weights=w)
+        np.testing.assert_array_equal(got.view(np.uint64), want.x.view(np.uint64))
+        np.testing.assert_array_equal(starts, want.blocks[:-1])
         # the fit is the workspace's own buffer: the compiled routine was
         # handed it as is, not a converted copy
         assert np.shares_memory(got, pava._x)
@@ -252,6 +256,18 @@ def test_lcm_keeps_concave_points():
 def test_lcm_rejects_tied_knots():
     with pytest.raises(ValueError):
         least_concave_majorant([0.0, 0.0, 1.0], [0.0, 0.1, 1.0])
+
+
+@pytest.mark.parametrize("knots, values", [
+    # a subnormal gap: the chord slope 2 / 1e-320 overflows to inf, and an
+    # antitonic fit that pooled it would leave (1e-320, 2) under the result
+    ([0.0, 1e-320, 2e-320, 1.0], [0.0, 2.0, 3.0, 3.0]),
+    # a gap that overflows, which would be an infinite PAVA weight
+    ([-1e308, 1e308, 1.5e308], [0.0, 1.0, 0.0]),
+], ids=["subnormal_gap", "overflowing_gap"])
+def test_lcm_rejects_overflowing_chord_slope(knots, values):
+    with pytest.raises(ValueError, match="chord slopes overflow"):
+        least_concave_majorant(knots, values)
 
 
 @st.composite
@@ -307,11 +323,39 @@ def test_lcm_with_flat_runs_matches_unfiltered_loop(seed):
     np.testing.assert_allclose(hull.evaluate(xs), lcm_oracle(xs, ys), atol=1e-12)
 
 
-def test_lcm_of_step_cdf_matches_unfiltered_loop():
-    # a monotone step CDF with long flat stretches, the shape signal recovery feeds in
+def _rounded_steps():
+    """A monotone step CDF with long flat stretches, the shape signal recovery feeds in."""
     rng = np.random.default_rng(7)
     xs = np.unique(np.round(rng.random(5000), 4))
     ys = np.round(np.minimum(1.0, np.cumsum(rng.exponential(1.0, xs.size)) / 3000), 2)
+    return xs, ys
+
+
+def _anchored_signal_cdf(decimals):
+    """The step CDF that ``concavify`` hands the majorant at n = 1e5.
+
+    0.1 * Beta(1, 10) + 0.9 * Uniform(0, 1) p-values, optionally rounded,
+    estimated at alpha = 0.1 and anchored at (0, 0) when the first jump is
+    above 0.
+    """
+    rng = np.random.default_rng(2012)
+    n = 100_000
+    p = np.where(rng.random(n) < 0.1, Beta(1, 10).sample(n, rng), rng.random(n))
+    if decimals is not None:
+        p = np.round(p, decimals)
+    fs = estimate_fs(SortedSample.from_data(p), Uniform(0.0, 1.0), 0.1)
+    if fs.jumps[0] > 0.0:
+        return np.append(0.0, fs.jumps), np.append(0.0, fs.values)
+    return fs.jumps, fs.values
+
+
+@pytest.mark.parametrize("points", [
+    pytest.param(_rounded_steps, id="rounded_steps"),
+    pytest.param(lambda: _anchored_signal_cdf(None), id="signal_cdf_n1e5"),
+    pytest.param(lambda: _anchored_signal_cdf(3), id="signal_cdf_n1e5_3dp"),
+])
+def test_lcm_of_step_cdf_matches_unfiltered_loop(points):
+    xs, ys = points()
     hull = least_concave_majorant(xs, ys)
     hx, hy = loop_lcm(xs, ys)
     np.testing.assert_array_equal(hull.knots, hx)

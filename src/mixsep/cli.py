@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .confidence import homogeneity_test
-from .distributions import Beta, Exponential, KnownCdf, Uniform, parse_distribution
+from .distributions import Beta, Exponential, KnownCdf, Tabulated, Uniform, parse_distribution
 from .identifiability import MixtureSpec, alpha0_auto, alpha0_continuous, alpha0_discrete
 from .mixture_core import (
     NoElbowError,
@@ -130,6 +130,8 @@ def _warn_support(data: np.ndarray, background: KnownCdf):
         lo, hi = 0.0, 1.0
     elif isinstance(background, Exponential):
         lo, hi = background.loc, math.inf
+    elif isinstance(background, Tabulated):
+        lo, hi = float(background.xs[0]), float(background.xs[-1])
     else:
         return
     outside = int(((data < lo) | (data > hi)).sum())

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-# scipy.stats takes longer to import than the rest of the package, so the
-# four discrete-family methods that use it import it where they need it.
-from scipy import special
 
+# scipy.special and scipy.stats take longer to import than the rest of the
+# package, and the Uniform, Exponential and table backgrounds need neither,
+# so the methods that use them import them where they need them.
 from .rng import stream
 
 __all__ = [
@@ -157,6 +157,8 @@ class Normal(KnownCdf):
             raise ValueError("normal requires sd > 0")
 
     def _cdf(self, x):
+        from scipy import special
+
         return special.ndtr((x - self.mean) / self.sd)
 
     def _density(self, x):
@@ -164,6 +166,8 @@ class Normal(KnownCdf):
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
 
     def _quantile(self, p):
+        from scipy import special
+
         return self.mean + self.sd * special.ndtri(p)
 
     def _sample(self, n, rng):
@@ -183,9 +187,13 @@ class StudentT(KnownCdf):
             raise ValueError("t requires df > 0")
 
     def _cdf(self, x):
+        from scipy import special
+
         return special.stdtr(self.df, x)
 
     def _density(self, x):
+        from scipy import special
+
         k = self.df
         lognorm = special.gammaln((k + 1.0) / 2.0) - special.gammaln(k / 2.0) - 0.5 * math.log(k * math.pi)
         return np.exp(lognorm - ((k + 1.0) / 2.0) * np.log1p(x * x / k))
@@ -193,6 +201,8 @@ class StudentT(KnownCdf):
     def _quantile(self, p):
         # stdtrit alone is only good to ~1e-10 in x; one Newton step
         # against the exact CDF/density pair tightens it to float precision
+        from scipy import special
+
         q = special.stdtrit(self.df, p)
         dens = self._density(q)
         return np.where(dens > 0.0, q - (special.stdtr(self.df, q) - p) / np.where(dens > 0.0, dens, 1.0), q)
@@ -217,9 +227,13 @@ class Beta(KnownCdf):
             raise ValueError("beta requires a > 0 and b > 0")
 
     def _cdf(self, x):
+        from scipy import special
+
         return special.betainc(self.a, self.b, np.clip(x, 0.0, 1.0))
 
     def _density(self, x):
+        from scipy import special
+
         out = np.zeros_like(x)
         inside = (x > 0.0) & (x < 1.0)
         xi = x[inside]
@@ -237,6 +251,8 @@ class Beta(KnownCdf):
         return out
 
     def _quantile(self, p):
+        from scipy import special
+
         return special.betaincinv(self.a, self.b, p)
 
     def _sample(self, n, rng):
@@ -288,6 +304,8 @@ class Poisson(KnownCdf):
             raise ValueError("poisson requires rate > 0")
 
     def _cdf(self, x):
+        from scipy import special
+
         k = np.floor(x)
         out = np.zeros_like(x)
         ok = k >= 0.0
@@ -295,6 +313,8 @@ class Poisson(KnownCdf):
         return out
 
     def _density(self, x):
+        from scipy import special
+
         out = np.zeros_like(x)
         ints = (x >= 0.0) & (x == np.floor(x))
         k = x[ints]
@@ -335,6 +355,8 @@ class Binomial(KnownCdf):
         object.__setattr__(self, "trials", int(self.trials))
 
     def _cdf(self, x):
+        from scipy import special
+
         k = np.floor(x)
         out = np.zeros_like(x)
         out[k >= self.trials] = 1.0

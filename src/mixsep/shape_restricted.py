@@ -15,13 +15,24 @@ directly through :class:`_Pava`, not through the public
 and first-touches three fresh arrays on every call; the mixture criterion
 projects one vector length once per gamma, hundreds of times per fit, so it
 keeps one :class:`_Pava` workspace and reuses its buffers instead.
+
+The extension module is loaded from its file in scipy's ``optimize``
+directory rather than imported.  ``import scipy.optimize._pava_pybind``
+first runs the ``scipy.optimize`` package ``__init__``, which imports much
+of scipy (``scipy.special`` included) and used to be about a third of every
+``mixsep`` command's wall time; the compiled module itself needs none of it.
+The loaded module is not entered in ``sys.modules``.  If the file is not
+where scipy's layout puts it, or cannot be loaded, the regular import is
+the fallback, which gives the same routine at the old import cost.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize._pava_pybind import pava as _pava
 
 __all__ = [
     "isotonic_regression",
@@ -31,6 +42,35 @@ __all__ = [
 
 # Absolute slack used when validating concavity of user-supplied knot sets.
 _CONCAVITY_TOL = 1e-12
+
+
+def _load_pava():
+    """scipy's compiled ``pava``, without importing ``scipy.optimize``.
+
+    ``find_spec`` locates scipy's package directory without importing
+    scipy.  pybind11 derives the module's init symbol from the last
+    component of its name, so the name ends in ``_pava_pybind``.
+    """
+    try:
+        scipy = importlib.util.find_spec("scipy")
+        roots = scipy.submodule_search_locations if scipy is not None else None
+        for root in roots or ():
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+                path = os.path.join(root, "optimize", "_pava_pybind" + suffix)
+                if os.path.isfile(path):
+                    loader = importlib.machinery.ExtensionFileLoader(f"{__name__}._pava_pybind", path)
+                    module = importlib.util.module_from_spec(
+                        importlib.util.spec_from_loader(loader.name, loader))
+                    loader.exec_module(module)
+                    return module.pava
+        raise ImportError("scipy/optimize/_pava_pybind not found")
+    except (ImportError, OSError):
+        from scipy.optimize._pava_pybind import pava
+
+        return pava
+
+
+_pava = _load_pava()
 
 
 class _Pava:
@@ -134,7 +174,7 @@ class PiecewiseLinearConcaveFn:
     knots : numpy.ndarray
         Strictly increasing x-coordinates.
     values : numpy.ndarray
-        Function values at the knots.  Segment slopes must be
+        Function values at the knots.  Segment slopes must be finite and
         non-increasing (within a 1e-12 slack) for the function to be
         concave.
     """
@@ -155,7 +195,10 @@ class PiecewiseLinearConcaveFn:
             raise ValueError("knots and values must be finite")
         if np.any(np.diff(knots) <= 0.0):
             raise ValueError("knots must be strictly increasing")
-        slopes = self.slopes()
+        with np.errstate(all="ignore"):
+            slopes = self.slopes()
+        if not np.all(np.isfinite(slopes)):
+            raise ValueError("segment slopes must be finite")
         if slopes.size >= 2 and np.any(np.diff(slopes) > _CONCAVITY_TOL):
             raise ValueError("segment slopes must be non-increasing")
 

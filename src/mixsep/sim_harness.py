@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from io import StringIO
 
 import numpy as np
-from scipy import special
 
 from ._validate import check_count
 from .confidence import lower_bound
@@ -187,6 +186,8 @@ def block_correlated_normals(n: int, draws: int, rho: float, block_size: int,
 
 def gen_scenario_a(cfg: ScenarioConfig, replication: int = 0) -> np.ndarray:
     """One replication of scenario A: ``n`` two-sided t-test p-values."""
+    from scipy import special
+
     rng = stream(cfg.base_seed, _NS_DATA, replication)
     n, j = cfg.n, cfg.j
     n_alt = round(cfg.alpha * n)
@@ -252,7 +253,7 @@ def scenario_b_signal_density(m_star: float):
     A standard normal shifted by a random magnitude Uniform(m*, m*+1) with
     random sign; the convolution has the closed form below.
     """
-    ndtr = special.ndtr
+    from scipy.special import ndtr
 
     def density(x):
         x = np.asarray(x, dtype=float)

@@ -338,6 +338,8 @@ def test_out_of_support_data_warns_but_runs(tmp_path, out, capsys):
         ("uniform:0,1", "0.5 0.7 1.3 0.2 0.9 0.4", "1 observations fall outside the background support [0.0, 1.0]"),
         ("beta:1,10", "0.05 0.1 1.5 0.2 2.0 0.01", "2 observations fall outside the background support [0.0, 1.0]"),
         ("exponential:0.5,1", "0.6 0.2 1.5 0.4 2.5 0.9", "2 observations fall outside the background support [0.5, inf]"),
+        (f"table:{FIXTURES / 'velocity_background.csv'}", "-200 0 100 300 600 50",
+         "2 observations fall outside the background support [-150.0, 520.0]"),
     ]
     for background, values, warning in cases:
         p = tmp_path / "odd.csv"

@@ -1,14 +1,26 @@
-"""Package-level checks: cold import cost and the README's library example."""
+"""Package-level checks: cold import cost, the compiled-PAVA loader and the README's
+library example."""
 import pathlib
 import re
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import mixsep
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+FIXTURES = README.parent / "fixtures"
+
+
+def run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's mixsep."""
+    src = pathlib.Path(mixsep.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], cwd=src,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
 
 
 def test_import_does_not_load_scipy_stats():
@@ -19,6 +31,83 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+COLD_START = """
+import sys
+import mixsep
+from mixsep.cli import main
+
+def loaded():
+    return [m for m in ("scipy.optimize", "scipy.special", "scipy.stats") if m in sys.modules]
+
+print(loaded())
+data, table, velocities, out = sys.argv[1:]
+assert main(["estimate", "--data", data, "--background", "uniform", "--output", out]) == 0
+print(loaded())
+assert main(["estimate", "--data", velocities, "--background", "table:" + table,
+             "--output", out]) == 0
+print(loaded())
+"""
+
+
+def test_cold_start_loads_no_scipy_package(tmp_path):
+    # The uniform and table backgrounds need neither scipy.special nor
+    # scipy.stats, and the compiled PAVA is loaded from its file, so neither
+    # the import nor a whole estimate runs the scipy.optimize package.
+    out = run_fresh(COLD_START, FIXTURES / "setting_ii_n5000.csv",
+                    FIXTURES / "velocity_background.csv", FIXTURES / "velocities_n1200.csv",
+                    tmp_path / "report.json")
+    assert out.split("\n") == ["[]", "[]", "[]", ""]
+
+
+@pytest.mark.parametrize("break_lookup", ["no_scipy_spec", "no_suffix", "load_fails"])
+def test_pava_loader_falls_back_to_scipys_import(monkeypatch, break_lookup):
+    import importlib.machinery
+    import importlib.util
+
+    from scipy.optimize import _pava_pybind
+
+    from mixsep.shape_restricted import _load_pava
+
+    if break_lookup == "no_scipy_spec":
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    elif break_lookup == "no_suffix":
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    else:
+        def fail(self, spec):
+            raise ImportError("cannot load")
+        monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "create_module", fail)
+    assert _load_pava() is _pava_pybind.pava
+
+
+BIT_FOR_BIT = """
+import sys
+import numpy as np
+
+if sys.argv[1] == "mixsep_first":
+    import mixsep
+    import scipy.optimize
+else:
+    import scipy.optimize
+    import mixsep
+
+rng = np.random.default_rng(19)
+v = rng.normal(size=1000) + np.linspace(0.0, 3.0, 1000)
+w = rng.uniform(0.1, 5.0, size=1000)
+got = mixsep.isotonic_regression(v, w)
+want = scipy.optimize.isotonic_regression(v, weights=w).x
+assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+assert np.unique(want).size < 1000  # some values were pooled
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("order", ["mixsep_first", "scipy_first"])
+def test_pava_from_file_matches_scipy_in_either_import_order(order):
+    # The file-loaded module and scipy's own import of it coexist in one
+    # process and give the same fit.
+    assert run_fresh(BIT_FOR_BIT, order) == "ok\n"
 
 
 def test_removed_names_stay_removed():

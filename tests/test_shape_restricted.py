@@ -1,4 +1,6 @@
 """Isotonic projection and least concave majorant against brute-force oracles."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -421,6 +423,20 @@ def test_concave_fn_rejects_convex_values():
     with pytest.raises(ValueError):
         PiecewiseLinearConcaveFn(knots=np.array([0.0, 1.0, 2.0]),
                                  values=np.array([0.0, 0.1, 1.0]))
+
+
+@pytest.mark.parametrize("knots, values", [
+    # a subnormal gap: the first slope 2 / 1e-320 overflows to inf
+    ([0.0, 1e-320, 1.0], [0.0, 2.0, 3.0]),
+    # finite values whose difference overflows
+    ([0.0, 1.0], [-1e308, 1e308]),
+], ids=["subnormal_gap", "overflowing_rise"])
+def test_concave_fn_rejects_non_finite_slopes(knots, values):
+    # the check itself raises no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="segment slopes must be finite"):
+            PiecewiseLinearConcaveFn(knots=np.array(knots), values=np.array(values))
 
 
 def test_left_derivative_matches_segment_slopes():

@@ -5,7 +5,10 @@ or probability mass), ``quantile`` (the generalized inverse
 ``inf{t : p <= F(t)}``), and seeded ``sample``.  Heavy special-function
 work is delegated to scipy; the classes here pin down conventions
 (generalized inverses, tie handling, tabulated interpolation modes) that
-the estimators rely on.
+the estimators rely on.  ``scipy.special`` and ``scipy.stats`` take longer
+to import than the rest of the package, and the Uniform, Exponential and
+tabulated backgrounds need neither, so the methods that use them import
+them on first use.
 """
 from __future__ import annotations
 
@@ -16,9 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-# scipy.special and scipy.stats take longer to import than the rest of the
-# package, and the Uniform, Exponential and table backgrounds need neither,
-# so the methods that use them import them where they need them.
 from .rng import stream
 
 __all__ = [

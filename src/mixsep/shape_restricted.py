@@ -19,8 +19,8 @@ keeps one :class:`_Pava` workspace and reuses its buffers instead.
 The extension module is loaded from its file in scipy's ``optimize``
 directory rather than imported.  ``import scipy.optimize._pava_pybind``
 first runs the ``scipy.optimize`` package ``__init__``, which imports much
-of scipy (``scipy.special`` included) and used to be about a third of every
-``mixsep`` command's wall time; the compiled module itself needs none of it.
+of scipy (``scipy.special`` included) and takes longer than everything else
+a ``mixsep`` command imports; the compiled module itself needs none of it.
 The loaded module is not entered in ``sys.modules``.  If the file is not
 where scipy's layout puts it, or cannot be loaded, the regular import is
 the fallback, which gives the same routine at the old import cost.
@@ -51,23 +51,24 @@ def _load_pava():
     scipy.  pybind11 derives the module's init symbol from the last
     component of its name, so the name ends in ``_pava_pybind``.
     """
-    try:
-        scipy = importlib.util.find_spec("scipy")
-        roots = scipy.submodule_search_locations if scipy is not None else None
-        for root in roots or ():
-            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-                path = os.path.join(root, "optimize", "_pava_pybind" + suffix)
-                if os.path.isfile(path):
-                    loader = importlib.machinery.ExtensionFileLoader(f"{__name__}._pava_pybind", path)
-                    module = importlib.util.module_from_spec(
-                        importlib.util.spec_from_loader(loader.name, loader))
-                    loader.exec_module(module)
-                    return module.pava
-        raise ImportError("scipy/optimize/_pava_pybind not found")
-    except (ImportError, OSError):
-        from scipy.optimize._pava_pybind import pava
+    scipy = importlib.util.find_spec("scipy")
+    roots = scipy.submodule_search_locations if scipy is not None else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_pava_pybind" + suffix)
+            if not os.path.isfile(path):
+                continue
+            loader = importlib.machinery.ExtensionFileLoader(f"{__name__}._pava_pybind", path)
+            try:
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(loader.name, loader))
+                loader.exec_module(module)
+            except (ImportError, OSError):
+                continue
+            return module.pava
+    from scipy.optimize._pava_pybind import pava
 
-        return pava
+    return pava
 
 
 _pava = _load_pava()

@@ -58,7 +58,7 @@ def test_cold_start_loads_no_scipy_package(tmp_path):
     out = run_fresh(COLD_START, FIXTURES / "setting_ii_n5000.csv",
                     FIXTURES / "velocity_background.csv", FIXTURES / "velocities_n1200.csv",
                     tmp_path / "report.json")
-    assert out.split("\n") == ["[]", "[]", "[]", ""]
+    assert out.splitlines() == ["[]"] * 3
 
 
 @pytest.mark.parametrize("break_lookup", ["no_scipy_spec", "no_suffix", "load_fails"])

@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import KnownCdf
 from ._validate import check_count
-from .shape_restricted import _Pava
+from .shape_restricted import _pava
 
 __all__ = [
     "SortedSample",
@@ -44,6 +44,10 @@ _BISECT_MAX_ITER = 60
 # (no detectable elbow), and the relative window for near-equal peaks.
 _FLAT_TOL = 1e-12
 _PEAK_WINDOW = 0.05
+
+# Values per buffer of the criterion kernel (128 KB of float64): a chunk
+# holds max(1, _CHUNK_VALUES // m) gammas for m collapsed points.
+_CHUNK_VALUES = 16_384
 
 
 class NoElbowError(ValueError):
@@ -157,18 +161,22 @@ class CriterionCurve:
 class _Criterion:
     """The criterion of one sample against one background, as a function of gamma.
 
-    Built once per public call and then called once per gamma.  It keeps
-    ``D = F_n - F_b`` and ``f = F_b`` at the end of each run of points
-    whose value and ecdf are both equal (such points share every
-    coordinate of the naive vector, so isotonic regression treats the run
-    as one point weighted by its length).  Since isotonic regression is
-    positively homogeneous, ``gamma * naive = D + gamma * f`` is
-    projected directly and clipped to ``[0, gamma]``, with no division.
-    :meth:`fit` is that projection; ``values`` holds the sample value of
-    each collapsed point.  The projection runs in one :class:`_Pava`
-    workspace built here, so no array of the sample's length is allocated
-    per gamma; construction has already checked what the workspace needs
-    (finite ``F_b``, positive run-length weights).
+    Built once per public call.  It keeps ``D = F_n - F_b`` and ``f = F_b``
+    at the end of each run of points whose value and ecdf are both equal
+    (such points share every coordinate of the naive vector, so isotonic
+    regression treats the run as one point weighted by its length).  Since
+    isotonic regression is positively homogeneous, ``gamma * naive = D +
+    gamma * f`` is projected directly and clipped to ``[0, gamma]``, with
+    no division; ``values`` holds the sample value of each collapsed point.
+
+    One kernel, :meth:`_project`, evaluates a chunk of gammas at once, one
+    row per gamma, in buffers of ``max(1, _CHUNK_VALUES // m)`` rows of the
+    m collapsed points allocated here; a call uses as many rows as it has
+    gammas.  No array of the sample's length is allocated per gamma or per
+    chunk, and construction has already checked what the compiled routine
+    needs (finite ``F_b``, positive run-length weights).  :meth:`curve`
+    walks a grid chunk by chunk; :meth:`__call__` and :meth:`fit` are the
+    one-gamma case.
     """
 
     def __init__(self, sample: SortedSample, background: KnownCdf):
@@ -187,34 +195,67 @@ class _Criterion:
         self._d = ecdf - fb
         self._f = fb
         self._n = sample.n
-        self._y = np.empty_like(fb)
-        self._pava = _Pava(self._weights, fb.size)
+        m = fb.size
+        rows = max(1, _CHUNK_VALUES // m)
+        self._y = np.empty((rows, m))
+        self._fit = np.empty((rows, m))
+        self._w = np.empty((rows, m))
+        self._r = np.empty(m + 1, dtype=np.intp)
 
-    def _rms(self, r: np.ndarray) -> float:
-        """Weighted root mean square over the n sample points; squares ``r`` in place."""
+    def _project(self, g: np.ndarray) -> np.ndarray:
+        """``clip(iso(D + g * f), 0, g)`` for a column ``g`` of at most one chunk of gammas.
+
+        Returns one row per gamma, in the fit buffer, which the next call
+        overwrites, and leaves ``D + g * f`` in the same rows of ``self._y``.
+        """
+        k = len(g)
+        y, fit, w = self._y[:k], self._fit[:k], self._w[:k]
+        np.multiply(g, self._f, out=y)
+        y += self._d
+        np.copyto(fit, y)
+        if self._weights is None:
+            w.fill(1.0)
+        else:
+            np.copyto(w, self._weights)
+        # Each row is a C-contiguous float64 view, which pybind11 hands to
+        # the routine as is, so it pools the row (and its weights) in place.
+        # The routine writes r[0] and each r[b + 1] before reading them.
+        for i in range(k):
+            _pava(fit[i], w[i], self._r)
+        return fit.clip(0.0, g, out=fit)
+
+    def _sums(self, g: np.ndarray) -> np.ndarray:
+        """The fit's weighted residual sum of squares for a column ``g`` of at most one chunk."""
+        r = self._project(g)
+        r -= self._y[:len(r)]
         r *= r
-        total = r.sum() if self._weights is None else self._weights @ r
-        return math.sqrt(float(total) / self._n)
+        if self._weights is None:
+            return r.sum(axis=1)
+        # One dot product per row, as ``weights @ row`` computes it.
+        return np.matmul(r[:, None], self._weights[:, None]).ravel()
 
     def fit(self, gamma: float) -> np.ndarray:
         """``gamma`` times the projected signal CDF at the collapsed points.
 
-        Returns ``clip(iso(y), 0, gamma)`` in the workspace's buffer, which
-        the next call overwrites, and leaves ``y = D + gamma * f`` in
-        ``self._y``.
+        Returns ``clip(iso(D + gamma * f), 0, gamma)`` in a row of the fit
+        buffer, which the next call overwrites.
         """
-        y = np.multiply(self._f, gamma, out=self._y)
-        y += self._d
-        r, _ = self._pava(y)
-        return np.clip(r, 0.0, gamma, out=r)
+        return self._project(np.array([[gamma]]))[0]
+
+    def curve(self, gammas: np.ndarray) -> np.ndarray:
+        """The criterion at each of ``gammas``, one chunk of rows per pass.
+
+        Each value is the weighted root mean square, over the n sample
+        points, of the fit's residual; at ``gamma = 0`` the fit is clipped
+        to 0 and that is the distance from ``F_n`` to ``F_b``.
+        """
+        rows = len(self._y)
+        sums = np.concatenate([self._sums(gammas[start:start + rows, None])
+                               for start in range(0, gammas.size, rows)])
+        return np.sqrt(sums / self._n)
 
     def __call__(self, gamma: float) -> float:
-        if gamma == 0.0:
-            # The fit is clipped to [0, 0]: the distance from F_n to F_b.
-            return self._rms(self._d.copy())
-        r = self.fit(gamma)
-        r -= self._y
-        return self._rms(r)
+        return math.sqrt(float(self._sums(np.array([[gamma]]))[0]) / self._n)
 
 
 def isotonized_cdf(sample: SortedSample, background: KnownCdf, gamma: float) -> StepCdf:
@@ -260,14 +301,16 @@ def criterion_curve(sample: SortedSample, background: KnownCdf, grid_size: int =
     The background CDF is evaluated once and tied points are collapsed
     once, as in :func:`criterion`: each grid point costs one isotonic
     projection over the distinct (value, ecdf) pairs, weighted by their
-    counts.
+    counts.  The grid is evaluated a chunk of gammas at a time, so each
+    numpy operation around the projections covers many grid points when
+    the sample is small; the values are those :func:`criterion` returns,
+    bit for bit.
     """
     check_count("grid_size", grid_size)
     if grid_size < 10:
         raise ValueError("grid_size must be at least 10")
-    crit = _Criterion(sample, background)
     gammas = np.arange(1, grid_size + 1, dtype=float) / grid_size
-    values = np.array([crit(g) for g in gammas.tolist()])
+    values = _Criterion(sample, background).curve(gammas)
     h = 1.0 / grid_size
     second = (values[:-2] - 2.0 * values[1:-1] + values[2:]) / (h * h)
     return CriterionCurve(gammas=gammas, values=values, second_differences=second)

@@ -10,11 +10,12 @@ the chord slopes ``dy / dx`` weighted by ``dx`` (Barlow, Bartholomew,
 Bremner & Brunk 1972; Robertson, Wright & Dykstra 1988, ch. 1).
 
 The compiled routine, ``scipy.optimize._pava_pybind.pava``, is called
-directly through :class:`_Pava`, not through the public
-:func:`scipy.optimize.isotonic_regression`.  The public wrapper allocates
-and first-touches three fresh arrays on every call; the mixture criterion
-projects one vector length once per gamma, hundreds of times per fit, so it
-keeps one :class:`_Pava` workspace and reuses its buffers instead.
+directly, not through the public :func:`scipy.optimize.isotonic_regression`.
+The public wrapper allocates and first-touches three fresh arrays on every
+call.  Here :class:`_Pava` owns the buffers of one projection, and the
+mixture criterion (``mixture_core._Criterion``), which projects one vector
+length hundreds of times per fit, calls the routine itself on the rows of
+buffers it allocates once, a chunk of gammas per pass.
 
 The extension module is loaded from its file in scipy's ``optimize``
 directory rather than imported.  ``import scipy.optimize._pava_pybind``
@@ -79,8 +80,8 @@ class _Pava:
 
     Owns the three arrays the compiled routine works in: the values ``x``
     and the weights ``w`` (``size`` floats each) and the block bounds ``r``
-    (``size + 1`` ``intp``).  Each call refills them, so projecting many
-    vectors of one length allocates no array of that length.  ``weights``
+    (``size + 1`` ``intp``).  Each call refills ``x`` and ``w``, so
+    projecting many vectors of one length allocates no array of that length.  ``weights``
     (positive, finite, length ``size``) or ``None`` for uniform weights is
     fixed at construction.  No input is checked: callers pass finite values
     of length ``size``.
@@ -104,9 +105,10 @@ class _Pava:
             self._w.fill(1.0)
         else:
             np.copyto(self._w, self._weights)
-        self._r.fill(-1)
-        # pybind11 copies an input that is not a contiguous array of the
-        # declared dtype, so read the fit from what the routine returns.
+        # The routine writes r[0] and each r[b + 1] before reading them, so
+        # r needs no refill.  pybind11 copies an input that is not a
+        # contiguous array of the declared dtype, so read the fit from what
+        # the routine returns.
         x, _, r, b = _pava(self._x, self._w, self._r)
         return x, r[:b]
 
@@ -263,7 +265,8 @@ def least_concave_majorant(knots, values) -> PiecewiseLinearConcaveFn:
     ------
     ValueError
         If lengths differ, the input is empty or not finite, knots are tied
-        or not increasing, or a chord slope or gap overflows float64.
+        or not increasing, or a gap or a chord slope (between input points or
+        between the majorant's knots) overflows float64.
     """
     x = np.asarray(knots, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -288,9 +291,14 @@ def least_concave_majorant(knots, values) -> PiecewiseLinearConcaveFn:
     _, starts = _Pava(dx, dx.size)(-chords)
     at = np.append(starts, x.size - 1)
     kx, ky = x[at], y[at]
+    # Pooled chords are finite, but the chord between two kept knots can
+    # still overflow when their values span more than float64 holds.
+    with np.errstate(all="ignore"):
+        slopes = np.diff(ky) / np.diff(kx)
+    if not np.all(np.isfinite(slopes)):
+        raise ValueError("chord slopes overflow: values span more than float64 holds")
     # Adjacent blocks may share a slope: drop the knot between two equal
     # chords, so that the knot set is minimal.
-    slopes = np.diff(ky) / np.diff(kx)
     corner = np.ones(kx.size, dtype=bool)
     corner[1:-1] = slopes[1:] != slopes[:-1]
     return PiecewiseLinearConcaveFn(kx[corner], ky[corner])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import isotonic_regression as scipy_isotonic_regression
 
 import mixsep.mixture_core as mixture_core
 from mixsep.distributions import Beta, Normal, Tabulated, Uniform
@@ -22,7 +23,7 @@ from mixsep.mixture_core import (
     isotonized_cdf,
 )
 from mixsep.rng import stream
-from mixsep.shape_restricted import _Pava, isotonic_regression
+from mixsep.shape_restricted import isotonic_regression
 from mixsep.signal_recovery import recover_signal
 
 UNIF = Uniform(0.0, 1.0)
@@ -166,16 +167,28 @@ _CASES = {
 
 @pytest.fixture()
 def projections(monkeypatch):
-    """Sizes of the inputs that mixture_core's PAVA workspaces project."""
+    """Sizes of the rows that mixture_core's criterion kernel hands the compiled PAVA."""
     sizes = []
+    raw = mixture_core._pava
 
-    class Counting(_Pava):
-        def __call__(self, values):
-            sizes.append(len(values))
-            return super().__call__(values)
+    def counting(x, w, r):
+        sizes.append(len(x))
+        return raw(x, w, r)
 
-    monkeypatch.setattr(mixture_core, "_Pava", Counting)
+    monkeypatch.setattr(mixture_core, "_pava", counting)
     return sizes
+
+
+def per_gamma_criterion(crit, gamma):
+    """The criterion at one gamma from a criterion's collapsed points, one
+    vector at a time: scipy's public isotonic fit of ``D + gamma f``, clipped
+    to [0, gamma], and the squared residual totalled as ``row.sum()`` or
+    ``weights @ row``."""
+    y = crit._f * gamma + crit._d
+    r = np.clip(scipy_isotonic_regression(y, weights=crit._weights).x, 0.0, gamma) - y
+    r *= r
+    total = r.sum() if crit._weights is None else crit._weights @ r
+    return math.sqrt(float(total) / crit._n)
 
 
 @pytest.mark.parametrize("case", sorted(_CASES))
@@ -187,6 +200,82 @@ def test_criterion_and_curve_match_pointwise_oracle(case):
     np.testing.assert_allclose(curve.values, want, rtol=0.0, atol=1e-12)
     for g in (0.0, 0.013, 0.2, 0.5, 0.77, 1.0):
         assert criterion(s, background, g) == pytest.approx(loop_criterion(s, background, g), abs=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_curve_is_per_gamma_criterion_bit_for_bit(case):
+    make, background = _CASES[case]
+    s = make()
+    curve = criterion_curve(s, background, 200)
+    gammas = curve.gammas.tolist()
+    crit = mixture_core._Criterion(s, background)
+    np.testing.assert_array_equal(curve.values, [per_gamma_criterion(crit, g) for g in gammas])
+    np.testing.assert_array_equal(curve.values, [criterion(s, background, g) for g in gammas])
+
+
+@pytest.mark.parametrize("data, grid, rows", [
+    # _CHUNK_VALUES = 16 384 values per buffer row block
+    pytest.param(np.full(40, 0.3), 200, 16_384, id="m_1"),
+    pytest.param(stream(17, 61).random(300), 200, 54, id="grid_not_a_multiple"),
+    pytest.param(np.round(stream(18, 61).random(3000), 3), 200, 17, id="weighted"),
+    pytest.param(stream(19, 61).random(16_400), 20, 1, id="m_over_chunk"),
+])
+def test_curve_chunks_match_per_gamma_criterion(data, grid, rows):
+    s = SortedSample.from_data(data)
+    crit = mixture_core._Criterion(s, UNIF)
+    assert len(crit._y) == rows
+    curve = criterion_curve(s, UNIF, grid)
+    gammas = curve.gammas.tolist()
+    np.testing.assert_array_equal(curve.values, [per_gamma_criterion(crit, g) for g in gammas])
+    np.testing.assert_array_equal(curve.values, [criterion(s, UNIF, g) for g in gammas])
+
+
+@pytest.mark.parametrize("decimals", [None, 5])
+def test_curve_allocates_no_row_or_chunk_sized_array(monkeypatch, decimals):
+    # Chunks of several rows of m >= 30 000 values, so that a row (and so
+    # a chunk) is well above the 64 KB per operand that numpy's ufunc
+    # iterator may allocate around a broadcast operation.
+    monkeypatch.setattr(mixture_core, "_CHUNK_VALUES", 2 ** 18)
+    x = stream(20, 61).random(60_000)
+    s = SortedSample.from_data(x if decimals is None else np.round(x, decimals))
+    crit = mixture_core._Criterion(s, UNIF)
+    rows, m = crit._y.shape
+    assert rows > 1 and m >= 30_000
+    assert (crit._weights is None) == (decimals is None)
+    gammas = np.arange(1, 41) / 40
+    crit.curve(gammas)
+    tracemalloc.start()
+    try:
+        crit.curve(gammas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m * 8
+
+
+def test_kernel_pools_each_buffer_row_in_place(monkeypatch):
+    # the fit is read from the buffer, so the compiled routine must pool the
+    # row it is handed, not a converted copy
+    s = SortedSample.from_data(np.round(beta_uniform_sample(500, 0.2, seed=15).values, 2))
+    crit = mixture_core._Criterion(s, UNIF)
+    calls = []
+    raw = mixture_core._pava
+
+    def recording(x, w, r):
+        out = raw(x, w, r)
+        calls.append((x, out[0]))
+        return out
+
+    monkeypatch.setattr(mixture_core, "_pava", recording)
+    crit.curve(np.arange(1, 201) / 200)
+    fit = crit.fit(0.3)
+    assert len(calls) == 201
+    for row, returned in calls:
+        assert np.shares_memory(row, crit._fit)
+        assert np.shares_memory(returned, row)
+    assert np.shares_memory(fit, crit._fit[0])
+    want = scipy_isotonic_regression(crit._f * 0.3 + crit._d, weights=crit._weights).x
+    np.testing.assert_array_equal(fit, np.clip(want, 0.0, 0.3))
 
 
 @pytest.mark.parametrize("case", sorted(_CASES))

@@ -198,12 +198,18 @@ def workspace_runs(draw):
     return w, [np.asarray(y, dtype=float) for y in ys]
 
 
+intp_values = st.integers(min_value=int(np.iinfo(np.intp).min), max_value=int(np.iinfo(np.intp).max))
+
+
 @settings(max_examples=200, deadline=None)
-@given(workspace_runs())
-def test_reused_workspace_gives_scipys_fit_bit_for_bit(run):
+@given(workspace_runs(), st.lists(intp_values, min_size=1, max_size=4))
+def test_reused_workspace_gives_scipys_fit_bit_for_bit(run, garbage):
     w, ys = run
     pava = _Pava(w, ys[0].size)
     for y in ys:
+        # the block bounds are not refilled between calls: whatever the
+        # buffer holds must not reach the result
+        pava._r[:] = np.resize(garbage, pava._r.size)
         got, starts = pava(y)
         want = scipy_isotonic_regression(y, weights=w)
         np.testing.assert_array_equal(got.view(np.uint64), want.x.view(np.uint64))
@@ -266,10 +272,15 @@ def test_lcm_rejects_tied_knots():
     ([0.0, 1e-320, 2e-320, 1.0], [0.0, 2.0, 3.0, 3.0]),
     # a gap that overflows, which would be an infinite PAVA weight
     ([-1e308, 1e308, 1.5e308], [0.0, 1.0, 0.0]),
-], ids=["subnormal_gap", "overflowing_gap"])
+    # finite chords (1e308, 1.5e308) that pool into one block, whose chord
+    # between the kept knots overflows
+    ([0.0, 1.0, 2.0], [-1e308, 0.0, 1.5e308]),
+], ids=["subnormal_gap", "overflowing_gap", "overflowing_pooled_chord"])
 def test_lcm_rejects_overflowing_chord_slope(knots, values):
-    with pytest.raises(ValueError, match="chord slopes overflow"):
-        least_concave_majorant(knots, values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="chord slopes overflow"):
+            least_concave_majorant(knots, values)
 
 
 @st.composite

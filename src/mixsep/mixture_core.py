@@ -176,7 +176,7 @@ class _Criterion:
     chunk, and construction has already checked what the compiled routine
     needs (finite ``F_b``, positive run-length weights).  :meth:`curve`
     walks a grid chunk by chunk; :meth:`__call__` and :meth:`fit` are the
-    one-gamma case.
+    one-gamma case, passing a 1 x 1 column kept here.
     """
 
     def __init__(self, sample: SortedSample, background: KnownCdf):
@@ -189,11 +189,13 @@ class _Criterion:
             self._weights = None
         else:
             ends = np.flatnonzero(np.append(new_run, True))
-            self._weights = np.diff(ends, prepend=-1).astype(float)
+            self._weights = np.diff(ends, prepend=-1).astype(float)[None]
             values, ecdf, fb = values[ends], ecdf[ends], fb[ends]
         self.values = values
-        self._d = ecdf - fb
-        self._f = fb
+        # D, f and the weights are one-row arrays, so that in a one-gamma
+        # pass numpy combines arrays of one shape, without broadcasting.
+        self._d = (ecdf - fb)[None]
+        self._f = fb[None]
         self._n = sample.n
         m = fb.size
         rows = max(1, _CHUNK_VALUES // m)
@@ -201,6 +203,7 @@ class _Criterion:
         self._fit = np.empty((rows, m))
         self._w = np.empty((rows, m))
         self._r = np.empty(m + 1, dtype=np.intp)
+        self._gamma = np.empty((1, 1))
 
     def _project(self, g: np.ndarray) -> np.ndarray:
         """``clip(iso(D + g * f), 0, g)`` for a column ``g`` of at most one chunk of gammas.
@@ -230,9 +233,9 @@ class _Criterion:
         r -= self._y[:len(r)]
         r *= r
         if self._weights is None:
-            return r.sum(axis=1)
+            return np.add.reduce(r, axis=1)
         # One dot product per row, as ``weights @ row`` computes it.
-        return np.matmul(r[:, None], self._weights[:, None]).ravel()
+        return np.matmul(r[:, None], self._weights.T).ravel()
 
     def fit(self, gamma: float) -> np.ndarray:
         """``gamma`` times the projected signal CDF at the collapsed points.
@@ -240,7 +243,8 @@ class _Criterion:
         Returns ``clip(iso(D + gamma * f), 0, gamma)`` in a row of the fit
         buffer, which the next call overwrites.
         """
-        return self._project(np.array([[gamma]]))[0]
+        self._gamma[0, 0] = gamma
+        return self._project(self._gamma)[0]
 
     def curve(self, gammas: np.ndarray) -> np.ndarray:
         """The criterion at each of ``gammas``, one chunk of rows per pass.
@@ -255,7 +259,8 @@ class _Criterion:
         return np.sqrt(sums / self._n)
 
     def __call__(self, gamma: float) -> float:
-        return math.sqrt(float(self._sums(np.array([[gamma]]))[0]) / self._n)
+        self._gamma[0, 0] = gamma
+        return math.sqrt(float(self._sums(self._gamma)[0]) / self._n)
 
 
 def isotonized_cdf(sample: SortedSample, background: KnownCdf, gamma: float) -> StepCdf:

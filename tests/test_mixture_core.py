@@ -184,10 +184,11 @@ def per_gamma_criterion(crit, gamma):
     vector at a time: scipy's public isotonic fit of ``D + gamma f``, clipped
     to [0, gamma], and the squared residual totalled as ``row.sum()`` or
     ``weights @ row``."""
-    y = crit._f * gamma + crit._d
-    r = np.clip(scipy_isotonic_regression(y, weights=crit._weights).x, 0.0, gamma) - y
+    weights = None if crit._weights is None else crit._weights.ravel()
+    y = crit._f.ravel() * gamma + crit._d.ravel()
+    r = np.clip(scipy_isotonic_regression(y, weights=weights).x, 0.0, gamma) - y
     r *= r
-    total = r.sum() if crit._weights is None else crit._weights @ r
+    total = r.sum() if weights is None else weights @ r
     return math.sqrt(float(total) / crit._n)
 
 
@@ -274,7 +275,7 @@ def test_kernel_pools_each_buffer_row_in_place(monkeypatch):
         assert np.shares_memory(row, crit._fit)
         assert np.shares_memory(returned, row)
     assert np.shares_memory(fit, crit._fit[0])
-    want = scipy_isotonic_regression(crit._f * 0.3 + crit._d, weights=crit._weights).x
+    want = scipy_isotonic_regression((crit._f * 0.3 + crit._d).ravel(), weights=crit._weights.ravel()).x
     np.testing.assert_array_equal(fit, np.clip(want, 0.0, 0.3))
 
 

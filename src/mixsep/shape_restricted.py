@@ -81,10 +81,10 @@ class _Pava:
     Owns the three arrays the compiled routine works in: the values ``x``
     and the weights ``w`` (``size`` floats each) and the block bounds ``r``
     (``size + 1`` ``intp``).  Each call refills ``x`` and ``w``, so
-    projecting many vectors of one length allocates no array of that length.  ``weights``
-    (positive, finite, length ``size``) or ``None`` for uniform weights is
-    fixed at construction.  No input is checked: callers pass finite values
-    of length ``size``.
+    projecting many vectors of one length allocates no array of that
+    length.  ``weights`` (positive, finite, length ``size``) or ``None``
+    for uniform weights is fixed at construction.  No input is checked:
+    callers pass finite values of length ``size``.
     """
 
     def __init__(self, weights, size: int):

@@ -203,19 +203,22 @@ def test_criterion_and_curve_match_pointwise_oracle(case):
         assert criterion(s, background, g) == pytest.approx(loop_criterion(s, background, g), abs=1e-12)
 
 
-@pytest.mark.parametrize("case", sorted(_CASES))
-def test_curve_is_per_gamma_criterion_bit_for_bit(case):
-    make, background = _CASES[case]
-    s = make()
-    curve = criterion_curve(s, background, 200)
+def assert_curve_is_per_gamma_criterion(s, background, grid):
+    curve = criterion_curve(s, background, grid)
     gammas = curve.gammas.tolist()
     crit = mixture_core._Criterion(s, background)
     np.testing.assert_array_equal(curve.values, [per_gamma_criterion(crit, g) for g in gammas])
     np.testing.assert_array_equal(curve.values, [criterion(s, background, g) for g in gammas])
 
 
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_curve_is_per_gamma_criterion_bit_for_bit(case):
+    make, background = _CASES[case]
+    assert_curve_is_per_gamma_criterion(make(), background, 200)
+
+
 @pytest.mark.parametrize("data, grid, rows", [
-    # _CHUNK_VALUES = 16 384 values per buffer row block
+    # rows = max(1, _CHUNK_VALUES // m) with _CHUNK_VALUES = 16 384
     pytest.param(np.full(40, 0.3), 200, 16_384, id="m_1"),
     pytest.param(stream(17, 61).random(300), 200, 54, id="grid_not_a_multiple"),
     pytest.param(np.round(stream(18, 61).random(3000), 3), 200, 17, id="weighted"),
@@ -223,12 +226,8 @@ def test_curve_is_per_gamma_criterion_bit_for_bit(case):
 ])
 def test_curve_chunks_match_per_gamma_criterion(data, grid, rows):
     s = SortedSample.from_data(data)
-    crit = mixture_core._Criterion(s, UNIF)
-    assert len(crit._y) == rows
-    curve = criterion_curve(s, UNIF, grid)
-    gammas = curve.gammas.tolist()
-    np.testing.assert_array_equal(curve.values, [per_gamma_criterion(crit, g) for g in gammas])
-    np.testing.assert_array_equal(curve.values, [criterion(s, UNIF, g) for g in gammas])
+    assert len(mixture_core._Criterion(s, UNIF)._y) == rows
+    assert_curve_is_per_gamma_criterion(s, UNIF, grid)
 
 
 @pytest.mark.parametrize("decimals", [None, 5])

@@ -182,8 +182,8 @@ def _cmd_estimate(args) -> int:
     _warn_support(data, background)
     sample = SortedSample.from_data(data)
     if args.cn is not None:
-        if args.cn <= 0.0:
-            raise _InputError("--cn must be positive")
+        if args.cn <= 0.0 or not math.isfinite(args.cn):
+            raise _InputError("--cn must be positive and finite")
         cn_value, tau = float(args.cn), None
     else:
         cn_value, tau = default_cn(sample.n, args.tau), args.tau

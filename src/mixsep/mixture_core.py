@@ -36,10 +36,6 @@ __all__ = [
     "elbow_peaks",
 ]
 
-# Bisection stopping width for the thresholded estimator.
-_BISECT_TOL = 1e-6
-_BISECT_MAX_ITER = 60
-
 # Second-difference level below which a criterion curve counts as flat
 # (no detectable elbow), and the relative window for near-equal peaks.
 _FLAT_TOL = 1e-12
@@ -176,7 +172,8 @@ class _Criterion:
     chunk, and construction has already checked what the compiled routine
     needs (finite ``F_b``, positive run-length weights).  :meth:`curve`
     walks a grid chunk by chunk; :meth:`__call__` and :meth:`fit` are the
-    one-gamma case, passing a 1 x 1 column kept here.
+    one-gamma case, passing a 1 x 1 column kept here, and so is each Newton
+    step of :meth:`root`, whose pass also returns the slope.
     """
 
     def __init__(self, sample: SortedSample, background: KnownCdf):
@@ -205,11 +202,15 @@ class _Criterion:
         self._r = np.empty(m + 1, dtype=np.intp)
         self._gamma = np.empty((1, 1))
 
-    def _project(self, g: np.ndarray) -> np.ndarray:
+    def _project(self, g: np.ndarray, mark_top: bool = False) -> np.ndarray:
         """``clip(iso(D + g * f), 0, g)`` for a column ``g`` of at most one chunk of gammas.
 
         Returns one row per gamma, in the fit buffer, which the next call
         overwrites, and leaves ``D + g * f`` in the same rows of ``self._y``.
+        With ``mark_top``, the same rows of the weights buffer, which the
+        routine has pooled and no longer needs, end as 1.0 where the
+        unclipped fit exceeds gamma (the points clipped at the top) and 0.0
+        elsewhere.
         """
         k = len(g)
         y, fit, w = self._y[:k], self._fit[:k], self._w[:k]
@@ -225,17 +226,64 @@ class _Criterion:
         # The routine writes r[0] and each r[b + 1] before reading them.
         for i in range(k):
             _pava(fit[i], w[i], self._r)
+        if mark_top:
+            # Read off the unclipped fit: at gamma = 0 every point clips to
+            # 0, so the clipped fit cannot tell the two ends apart.
+            np.greater(fit, g, out=w)
         return fit.clip(0.0, g, out=fit)
+
+    def _totals(self, sq: np.ndarray) -> np.ndarray:
+        """The weighted row totals of ``sq``, one chunk of squared residuals."""
+        if self._weights is None:
+            return np.add.reduce(sq, axis=1)
+        # One dot product per row, as ``weights @ row`` computes it.
+        return np.matmul(sq[:, None], self._weights.T).ravel()
 
     def _sums(self, g: np.ndarray) -> np.ndarray:
         """The fit's weighted residual sum of squares for a column ``g`` of at most one chunk."""
         r = self._project(g)
         r -= self._y[:len(r)]
         r *= r
-        if self._weights is None:
-            return np.add.reduce(r, axis=1)
-        # One dot product per row, as ``weights @ row`` computes it.
-        return np.matmul(r[:, None], self._weights.T).ravel()
+        return self._totals(r)
+
+    def _sum_and_slope(self, gamma: float) -> tuple[float, float]:
+        """``S = n * criterion(gamma)**2`` and its right derivative in gamma, from one pass.
+
+        With ``y = D + gamma * f``, the fit ``p`` and ``r = p - y``, the
+        derivative is ``2 * (sum_{x > gamma} w r - sum w r f)``, where ``x``
+        is the unclipped fit: within a block that is not clipped the
+        weighted residuals sum to zero, and a block clipped at the top moves
+        with gamma.  ``S`` is the total :meth:`_sums` gives, bit for bit.
+        """
+        self._gamma[0, 0] = gamma
+        fit = self._project(self._gamma, mark_top=True)
+        r = np.subtract(fit, self._y[:1], out=self._y[:1])
+        wr = r if self._weights is None else np.multiply(r, self._weights, out=fit)
+        slope = 2.0 * (float(wr[0] @ self._w[0]) - float(wr[0] @ self._f[0]))
+        return float(self._totals(np.multiply(r, r, out=fit))[0]), slope
+
+    def root(self, threshold: float) -> float:
+        """The smallest gamma whose criterion is at most ``threshold``.
+
+        Newton's method on ``S(gamma) - n * threshold**2`` from gamma = 0,
+        with the right derivative.  ``S`` is convex and non-increasing, so
+        each step lands on or below the root and the iterates rise to it.
+        The iteration stops at the first gamma within the threshold (0 when
+        the background alone fits), or when a step no longer raises gamma
+        in floating point, which leaves gamma within rounding of the root.
+        A slope that is not negative, or a step to 1 or beyond, can only
+        come from rounding there too, and also stops it.
+        """
+        target = self._n * threshold * threshold
+        gamma = 0.0
+        while True:
+            s, slope = self._sum_and_slope(gamma)
+            if math.sqrt(s / self._n) <= threshold or not slope < 0.0:
+                return gamma
+            step = gamma - (s - target) / slope
+            if not gamma < step < 1.0:
+                return gamma
+            gamma = step
 
     def fit(self, gamma: float) -> np.ndarray:
         """``gamma`` times the projected signal CDF at the collapsed points.
@@ -338,26 +386,15 @@ def estimate_alpha_cn(sample: SortedSample, background: KnownCdf, c_n: float) ->
     """Thresholded estimate of the identifiable mixing proportion.
 
     The feasible set ``{gamma : sqrt(n) * criterion(gamma) <= c_n}`` is an
-    interval stretching to 1, so its left endpoint is located by bisection
-    (absolute tolerance 1e-6).  Returns 0 when the background alone already
-    fits within the threshold.
+    interval stretching to 1.  Its left endpoint is found by Newton's
+    method on the squared criterion, which is convex and non-increasing in
+    gamma: started at 0, the iterates rise to the endpoint from below and
+    stop within rounding of it, usually after about ten projections.
+    Returns 0 when the background alone already fits within the threshold.
     """
     if c_n <= 0.0 or not math.isfinite(c_n):
-        raise ValueError("c_n must be positive")
-    crit = _Criterion(sample, background)
-    threshold = c_n / math.sqrt(sample.n)
-    if crit(0.0) <= threshold:
-        return 0.0
-    lo, hi = 0.0, 1.0  # criterion(1) == 0 < threshold, so hi stays feasible
-    for _ in range(_BISECT_MAX_ITER):
-        if hi - lo <= _BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if crit(mid) <= threshold:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        raise ValueError("c_n must be positive and finite")
+    return _Criterion(sample, background).root(c_n / math.sqrt(sample.n))
 
 
 def _interior_peaks(second: np.ndarray) -> np.ndarray:

@@ -12,10 +12,10 @@ Bremner & Brunk 1972; Robertson, Wright & Dykstra 1988, ch. 1).
 The compiled routine, ``scipy.optimize._pava_pybind.pava``, is called
 directly, not through the public :func:`scipy.optimize.isotonic_regression`.
 The public wrapper allocates and first-touches three fresh arrays on every
-call.  Here :class:`_Pava` owns the buffers of one projection, and the
-mixture criterion (``mixture_core._Criterion``), which projects one vector
-length hundreds of times per fit, calls the routine itself on the rows of
-buffers it allocates once, a chunk of gammas per pass.
+call.  The mixture criterion (``mixture_core._Criterion``), which projects
+one vector length hundreds of times per fit, calls the routine itself on
+the rows of buffers it allocates once, a chunk of gammas per pass; here
+:func:`_isotonic` makes the one call of a single projection.
 
 The extension module is loaded from its file in scipy's ``optimize``
 directory rather than imported.  ``import scipy.optimize._pava_pybind``
@@ -75,42 +75,22 @@ def _load_pava():
 _pava = _load_pava()
 
 
-class _Pava:
-    """Reusable buffers for scipy's compiled pool-adjacent-violators.
+def _isotonic(values: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted isotonic fit of ``values`` and its block starts.
 
-    Owns the three arrays the compiled routine works in: the values ``x``
-    and the weights ``w`` (``size`` floats each) and the block bounds ``r``
-    (``size + 1`` ``intp``).  Each call refills ``x`` and ``w``, so
-    projecting many vectors of one length allocates no array of that
-    length.  ``weights`` (positive, finite, length ``size``) or ``None``
-    for uniform weights is fixed at construction.  No input is checked:
-    callers pass finite values of length ``size``.
+    Returns the fit, a fresh array, and the index at which each pooled
+    block starts (ascending, beginning with 0).  ``weights`` (positive,
+    finite, the length of ``values``) or ``None`` for uniform weights.  No
+    input is checked: callers pass finite values.
     """
-
-    def __init__(self, weights, size: int):
-        self._weights = weights
-        self._x = np.empty(size)
-        self._w = np.empty(size)
-        self._r = np.empty(size + 1, dtype=np.intp)
-
-    def __call__(self, values) -> tuple[np.ndarray, np.ndarray]:
-        """The weighted isotonic fit of ``values`` and its block starts.
-
-        Returns the fit and the index at which each pooled block starts
-        (ascending, beginning with 0).  Both are views of the workspace's
-        buffers, which the next call overwrites.
-        """
-        np.copyto(self._x, values)
-        if self._weights is None:
-            self._w.fill(1.0)
-        else:
-            np.copyto(self._w, self._weights)
-        # The routine writes r[0] and each r[b + 1] before reading them, so
-        # r needs no refill.  pybind11 copies an input that is not a
-        # contiguous array of the declared dtype, so read the fit from what
-        # the routine returns.
-        x, _, r, b = _pava(self._x, self._w, self._r)
-        return x, r[:b]
+    x = np.array(values, dtype=float)
+    w = np.ones(x.size) if weights is None else np.array(weights, dtype=float)
+    # The routine writes r[0] and each r[b + 1] before reading them, so r
+    # needs no fill.  pybind11 copies an input that is not a contiguous
+    # array of the declared dtype, so read the fit from what the routine
+    # returns.
+    x, _, r, b = _pava(x, w, np.empty(x.size + 1, dtype=np.intp))
+    return x, r[:b]
 
 
 def isotonic_regression(values, weights=None) -> np.ndarray:
@@ -119,11 +99,9 @@ def isotonic_regression(values, weights=None) -> np.ndarray:
     Minimises ``sum(w_i * (theta_i - v_i)**2)`` over non-decreasing
     ``theta``.  The fit is scipy's compiled pool-adjacent-violators
     (``scipy.optimize._pava_pybind.pava``, O(n)), the routine behind
-    :func:`scipy.optimize.isotonic_regression`, called through a fresh
-    :class:`_Pava` workspace whose buffer the caller then owns.  This
-    function makes the input checks and raises the error messages below;
-    the workspace makes none, so that a caller projecting validated data
-    many times does not pay scipy's per-call allocations.
+    :func:`scipy.optimize.isotonic_regression`, called on a fresh copy
+    of the input that the caller then owns.  This function makes the input
+    checks and raises the error messages below.
 
     Parameters
     ----------
@@ -161,7 +139,7 @@ def isotonic_regression(values, weights=None) -> np.ndarray:
             raise ValueError("weights must match values in length")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("weights must be positive and finite")
-    return _Pava(w, v.size)(v)[0]
+    return _isotonic(v, w)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +266,7 @@ def least_concave_majorant(knots, values) -> PiecewiseLinearConcaveFn:
 
     # Each pooled block's fitted slope is the chord between its end points,
     # so the knots keep the input's values.
-    _, starts = _Pava(dx, dx.size)(-chords)
+    _, starts = _isotonic(-chords, dx)
     at = np.append(starts, x.size - 1)
     kx, ky = x[at], y[at]
     # Pooled chords are finite, but the chord between two kept knots can

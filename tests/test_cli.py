@@ -304,6 +304,14 @@ def test_untabulated_beta_names_the_supported_levels(capsys):
     assert "interpolate" not in err
 
 
+@pytest.mark.parametrize("cn", ["0", "-1", "nan", "inf"])
+def test_threshold_must_be_positive_and_finite(data_csv, capsys, cn):
+    rc = main(["estimate", "--data", data_csv, "--background", "uniform:0,1",
+               "--cn", cn, "--skip-elbow", "--skip-lower"])
+    assert rc == 2
+    assert "--cn must be positive and finite" in capsys.readouterr().err
+
+
 def test_non_numeric_cell_reports_line(tmp_path, capsys):
     p = tmp_path / "broken.csv"
     p.write_text("0.1\n0.2\noops\n0.4\n")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression as scipy_isotonic_regression
 
 import mixsep.mixture_core as mixture_core
+from mixsep.confidence import critical_value
 from mixsep.distributions import Beta, Normal, Tabulated, Uniform
 from mixsep.mixture_core import (
     CriterionCurve,
@@ -488,6 +489,9 @@ def test_estimate_alpha_rejects_nonpositive_threshold():
     s = SortedSample.from_data([0.5])
     with pytest.raises(ValueError):
         estimate_alpha_cn(s, UNIF, 0.0)
+    for c_n in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="c_n must be positive and finite"):
+            estimate_alpha_cn(s, UNIF, c_n)
 
 
 def test_estimate_alpha_zero_when_background_fits():
@@ -496,7 +500,7 @@ def test_estimate_alpha_zero_when_background_fits():
     assert estimate_alpha_cn(s, UNIF, 50.0) == 0.0
 
 
-def test_bisection_agrees_with_grid_scan():
+def test_root_agrees_with_grid_scan():
     s = beta_uniform_sample(1000, 0.2, seed=41)
     c_n = default_cn(s.n)
     got = estimate_alpha_cn(s, UNIF, c_n)
@@ -505,6 +509,83 @@ def test_bisection_agrees_with_grid_scan():
     feasible = [g for g in gammas if criterion(s, UNIF, float(g)) <= threshold]
     want = feasible[0]
     assert got == pytest.approx(want, abs=2e-4)
+
+
+def bisection_root(s, background, threshold):
+    """The thresholded estimate by bisection to width 1e-6: the smallest
+    feasible gamma lies in (lo, hi], and hi is returned."""
+    crit = mixture_core._Criterion(s, background)
+    if crit(0.0) <= threshold:
+        return 0.0
+    lo, hi = 0.0, 1.0  # criterion(1) == 0 < threshold, so hi stays feasible
+    for _ in range(60):
+        if hi - lo <= 1e-6:
+            break
+        mid = 0.5 * (lo + hi)
+        if crit(mid) <= threshold:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+_ROOT_CASES = {
+    "continuous": (lambda: beta_uniform_sample(700, 0.1, seed=71), UNIF),
+    "rounded_2": (lambda: _rounded(900, 72, 2), UNIF),
+    "tabulated": _CASES["tabulated"],
+    "hand_built": (lambda: _hand_built(400, 73), UNIF),
+    "null": (lambda: _continuous(600, 74), UNIF),
+    "null_rounded_2": (lambda: SortedSample.from_data(np.round(stream(75, 61).random(450), 2)), UNIF),
+}
+
+
+@pytest.mark.parametrize("threshold", ["default_cn", "critical_value"])
+@pytest.mark.parametrize("case", sorted(_ROOT_CASES))
+def test_root_is_the_smallest_feasible_gamma(projections, case, threshold):
+    make, background = _ROOT_CASES[case]
+    s = make()
+    c_n = default_cn(s.n) if threshold == "default_cn" else critical_value(s.n, 0.05)
+    t = c_n / math.sqrt(s.n)
+    hi = bisection_root(s, background, t)
+    projections.clear()
+    root = estimate_alpha_cn(s, background, c_n)
+    assert len(projections) <= 14
+    assert root <= hi
+    assert hi - root <= 1e-6
+    assert (root == 0.0) == (criterion(s, background, 0.0) <= t)
+    if root > 0.0:
+        assert criterion(s, background, min(root + 1e-12, 1.0)) <= t
+        assert t < criterion(s, background, max(root - 1e-9, 0.0))
+
+
+@pytest.mark.parametrize("case", sorted(_ROOT_CASES))
+def test_slope_is_the_right_derivative(case):
+    make, background = _ROOT_CASES[case]
+    crit = mixture_core._Criterion(make(), background)
+    for gamma in (0.0, 0.03, 0.1, 0.4):
+        s, slope = crit._sum_and_slope(gamma)
+        assert s == crit._sums(np.array([[gamma]]))[0]
+        h = 1e-7
+        ahead = crit._sum_and_slope(gamma + h)[0]
+        assert slope == pytest.approx((ahead - s) / h, rel=1e-4, abs=1e-9)
+
+
+@pytest.mark.parametrize("decimals", [None, 3])
+def test_root_allocates_no_sample_length_array(decimals):
+    x = beta_uniform_sample(20_000, 0.1, seed=76).values
+    s = SortedSample.from_data(x if decimals is None else np.round(x, decimals))
+    crit = mixture_core._Criterion(s, UNIF)
+    assert (crit._weights is None) == (decimals is None)
+    threshold = default_cn(s.n) / math.sqrt(s.n)
+    crit.root(threshold)
+    tracemalloc.start()
+    try:
+        root = crit.root(threshold)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert root > 0.0
+    assert peak < crit.values.size * 8
 
 
 def test_estimate_alpha_close_to_truth_in_mixture():

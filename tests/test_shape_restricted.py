@@ -11,7 +11,7 @@ from mixsep.distributions import Beta, Uniform
 from mixsep.mixture_core import SortedSample
 from mixsep.shape_restricted import (
     PiecewiseLinearConcaveFn,
-    _Pava,
+    _pava,
     isotonic_regression,
     least_concave_majorant,
 )
@@ -204,19 +204,22 @@ intp_values = st.integers(min_value=int(np.iinfo(np.intp).min), max_value=int(np
 @settings(max_examples=200, deadline=None)
 @given(workspace_runs(), st.lists(intp_values, min_size=1, max_size=4))
 def test_reused_workspace_gives_scipys_fit_bit_for_bit(run, garbage):
+    # The reuse of the mixture criterion's kernel: one block-bound buffer r
+    # for every vector of one length, never refilled between calls, with
+    # fresh values and weights in buffers of their own.
     w, ys = run
-    pava = _Pava(w, ys[0].size)
+    r = np.empty(ys[0].size + 1, dtype=np.intp)
     for y in ys:
-        # the block bounds are not refilled between calls: whatever the
-        # buffer holds must not reach the result
-        pava._r[:] = np.resize(garbage, pava._r.size)
-        got, starts = pava(y)
+        # whatever r holds must not reach the result
+        r[:] = np.resize(garbage, r.size)
+        x = y.copy()
+        got, _, bounds, b = _pava(x, np.ones(y.size) if w is None else w.copy(), r)
         want = scipy_isotonic_regression(y, weights=w)
         np.testing.assert_array_equal(got.view(np.uint64), want.x.view(np.uint64))
-        np.testing.assert_array_equal(starts, want.blocks[:-1])
-        # the fit is the workspace's own buffer: the compiled routine was
-        # handed it as is, not a converted copy
-        assert np.shares_memory(got, pava._x)
+        np.testing.assert_array_equal(bounds[:b], want.blocks[:-1])
+        # the fit is the buffer handed in: the compiled routine pooled it as
+        # is, not a converted copy
+        assert np.shares_memory(got, x)
 
 
 def test_public_fit_is_a_fresh_array_each_call():

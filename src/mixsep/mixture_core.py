@@ -278,6 +278,8 @@ class _Criterion:
         gamma = 0.0
         while True:
             s, slope = self._sum_and_slope(gamma)
+            # The test __call__ makes, so that gamma = 0 is decided as by
+            # criterion(0) <= threshold, bit for bit.
             if math.sqrt(s / self._n) <= threshold or not slope < 0.0:
                 return gamma
             step = gamma - (s - target) / slope

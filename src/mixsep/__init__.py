@@ -28,7 +28,6 @@ from .distributions import (
     Uniform,
     load_tabulated_csv,
     parse_distribution,
-    push_through_quantile,
 )
 from .identifiability import (
     MixedMixtureSpec,
@@ -100,7 +99,6 @@ __all__ = [
     "Tabulated",
     "load_tabulated_csv",
     "parse_distribution",
-    "push_through_quantile",
     # mixture core
     "SortedSample",
     "StepCdf",

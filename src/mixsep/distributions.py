@@ -33,7 +33,6 @@ __all__ = [
     "Tabulated",
     "load_tabulated_csv",
     "parse_distribution",
-    "push_through_quantile",
 ]
 
 # Residual tail mass at which discrete supports are truncated when the
@@ -533,19 +532,3 @@ def parse_distribution(text: str) -> KnownCdf:
             raise ValueError("binomial trials must be an integer")
         return Binomial(int(trials), params[1])
     return cls(*params)
-
-
-def push_through_quantile(xs, d: KnownCdf) -> np.ndarray:
-    """Map values in (0, 1) through the generalized inverse of ``d``.
-
-    Used to re-express a problem with one continuous background as an
-    equivalent problem with another (e.g. p-values on the uniform scale to
-    z-scores on the normal scale).  The mixture criterion and the
-    estimators built on it are invariant under this transformation.
-    """
-    if d.is_discrete:
-        raise ValueError("non-invertible transform: discrete distribution")
-    arr = np.asarray(xs, dtype=float)
-    if arr.size == 0:
-        return arr.astype(float).copy()
-    return np.asarray(d.quantile(arr), dtype=float)

@@ -171,9 +171,11 @@ class _Criterion:
     gammas.  No array of the sample's length is allocated per gamma or per
     chunk, and construction has already checked what the compiled routine
     needs (finite ``F_b``, positive run-length weights).  :meth:`curve`
-    walks a grid chunk by chunk; :meth:`__call__` and :meth:`fit` are the
-    one-gamma case, passing a 1 x 1 column kept here, and so is each Newton
-    step of :meth:`root`, whose pass also returns the slope.
+    walks a grid chunk by chunk, and :meth:`__call__` passes a 1 x 1 column
+    kept here, so that its value is a curve value bit for bit.  :meth:`fit`
+    and each Newton step of :meth:`root`, whose pass also returns the
+    slope, hand the kernel a float instead, which it projects on 1-D views
+    of the first rows, without the column's broadcasting.
     """
 
     def __init__(self, sample: SortedSample, background: KnownCdf):
@@ -189,8 +191,8 @@ class _Criterion:
             self._weights = np.diff(ends, prepend=-1).astype(float)[None]
             values, ecdf, fb = values[ends], ecdf[ends], fb[ends]
         self.values = values
-        # D, f and the weights are one-row arrays, so that in a one-gamma
-        # pass numpy combines arrays of one shape, without broadcasting.
+        # D, f and the weights are one-row arrays, so that a 1 x 1 column
+        # combines with arrays of its own rank; ``_row`` holds 1-D views.
         self._d = (ecdf - fb)[None]
         self._f = fb[None]
         self._n = sample.n
@@ -201,36 +203,50 @@ class _Criterion:
         self._w = np.empty((rows, m))
         self._r = np.empty(m + 1, dtype=np.intp)
         self._gamma = np.empty((1, 1))
+        # 1-D views of the first rows, for a one-gamma pass given as a float.
+        self._row = (self._y[0], self._fit[0], self._w[0], self._d[0], self._f[0],
+                     None if self._weights is None else self._weights[0])
 
-    def _project(self, g: np.ndarray, mark_top: bool = False) -> np.ndarray:
-        """``clip(iso(D + g * f), 0, g)`` for a column ``g`` of at most one chunk of gammas.
+    def _project(self, g, mark_top: bool = False) -> np.ndarray:
+        """``clip(iso(D + g * f), 0, g)`` for a float ``g`` or a column of at most one chunk.
 
-        Returns one row per gamma, in the fit buffer, which the next call
-        overwrites, and leaves ``D + g * f`` in the same rows of ``self._y``.
-        With ``mark_top``, the same rows of the weights buffer, which the
-        routine has pooled and no longer needs, end as 1.0 where the
-        unclipped fit exceeds gamma (the points clipped at the top) and 0.0
-        elsewhere.
+        Returns one row per gamma in the fit buffer, which the next call
+        overwrites, and leaves ``D + g * f`` in the same rows of ``self._y``;
+        for a float ``g`` the row is 1-D.  With ``mark_top``, the same rows
+        of the weights buffer, which the routine has pooled and no longer
+        needs, end as 1.0 where the unclipped fit exceeds gamma (the points
+        clipped at the top) and 0.0 elsewhere.
         """
-        k = len(g)
-        y, fit, w = self._y[:k], self._fit[:k], self._w[:k]
-        np.multiply(g, self._f, out=y)
-        y += self._d
+        if isinstance(g, float):
+            y, fit, w, d, f, weights = self._row
+            rows = ((fit, w),)
+        else:
+            k = len(g)
+            y, fit, w = self._y[:k], self._fit[:k], self._w[:k]
+            d, f, weights = self._d, self._f, self._weights
+            rows = zip(fit, w)
+        np.multiply(g, f, out=y)
+        y += d
         np.copyto(fit, y)
-        if self._weights is None:
+        if weights is None:
             w.fill(1.0)
         else:
-            np.copyto(w, self._weights)
+            np.copyto(w, weights)
         # Each row is a C-contiguous float64 view, which pybind11 hands to
         # the routine as is, so it pools the row (and its weights) in place.
         # The routine writes r[0] and each r[b + 1] before reading them.
-        for i in range(k):
-            _pava(fit[i], w[i], self._r)
+        for row, row_w in rows:
+            _pava(row, row_w, self._r)
         if mark_top:
             # Read off the unclipped fit: at gamma = 0 every point clips to
             # 0, so the clipped fit cannot tell the two ends apart.
             np.greater(fit, g, out=w)
-        return fit.clip(0.0, g, out=fit)
+        if fit.ndim == 1 or len(fit) == 1:
+            return fit.clip(0.0, g, out=fit)
+        # Two ufuncs cost less than clip against a column of gammas.  Unlike
+        # clip they turn a fitted -0.0 into 0.0, which no square can tell.
+        np.maximum(fit, 0.0, out=fit)
+        return np.minimum(fit, g, out=fit)
 
     def _totals(self, sq: np.ndarray) -> np.ndarray:
         """The weighted row totals of ``sq``, one chunk of squared residuals."""
@@ -255,34 +271,42 @@ class _Criterion:
         weighted residuals sum to zero, and a block clipped at the top moves
         with gamma.  ``S`` is the total :meth:`_sums` gives, bit for bit.
         """
-        self._gamma[0, 0] = gamma
-        fit = self._project(self._gamma, mark_top=True)
-        r = np.subtract(fit, self._y[:1], out=self._y[:1])
-        wr = r if self._weights is None else np.multiply(r, self._weights, out=fit)
-        slope = 2.0 * (float(wr[0] @ self._w[0]) - float(wr[0] @ self._f[0]))
-        return float(self._totals(np.multiply(r, r, out=fit))[0]), slope
+        y, _, top, _, f, weights = self._row
+        fit = self._project(gamma, mark_top=True)
+        r = np.subtract(fit, y, out=y)
+        wr = r if weights is None else np.multiply(r, weights, out=fit)
+        slope = 2.0 * (float(wr @ top) - float(wr @ f))
+        sq = np.multiply(r, r, out=fit)
+        # The totals of _totals, one row: a pairwise sum, or ``weights @ row``.
+        return float(np.add.reduce(sq) if weights is None else weights @ sq), slope
 
     def root(self, threshold: float) -> float:
         """The smallest gamma whose criterion is at most ``threshold``.
 
-        Newton's method on ``S(gamma) - n * threshold**2`` from gamma = 0,
-        with the right derivative.  ``S`` is convex and non-increasing, so
-        each step lands on or below the root and the iterates rise to it.
-        The iteration stops at the first gamma within the threshold (0 when
-        the background alone fits), or when a step no longer raises gamma
-        in floating point, which leaves gamma within rounding of the root.
-        A slope that is not negative, or a step to 1 or beyond, can only
+        Newton's method on ``c(gamma) - threshold`` from gamma = 0, where
+        ``c`` is the criterion, with the right derivative ``c' = S' / (2 n
+        c)`` of ``S = n c**2``.  ``c`` is convex and non-increasing, so each
+        step lands on or below the root and the iterates rise to it.  Near
+        1, a step that should land just below 1 can round to 1; the step on
+        ``S - n * threshold**2``, shorter by ``(c + threshold) / (2 c)``, is
+        then taken instead.  The iteration stops at the first gamma within
+        the threshold (0 when the background alone fits), or when neither
+        step raises gamma below 1 in floating point, which leaves gamma
+        within rounding of the root.  A slope that is not negative can only
         come from rounding there too, and also stops it.
         """
-        target = self._n * threshold * threshold
+        n = self._n
         gamma = 0.0
         while True:
             s, slope = self._sum_and_slope(gamma)
             # The test __call__ makes, so that gamma = 0 is decided as by
             # criterion(0) <= threshold, bit for bit.
-            if math.sqrt(s / self._n) <= threshold or not slope < 0.0:
+            c = math.sqrt(s / n)
+            if c <= threshold or not slope < 0.0:
                 return gamma
-            step = gamma - (s - target) / slope
+            step = gamma - 2.0 * n * c * (c - threshold) / slope
+            if not step < 1.0:
+                step = gamma - n * (c - threshold) * (c + threshold) / slope
             if not gamma < step < 1.0:
                 return gamma
             gamma = step
@@ -293,8 +317,7 @@ class _Criterion:
         Returns ``clip(iso(D + gamma * f), 0, gamma)`` in a row of the fit
         buffer, which the next call overwrites.
         """
-        self._gamma[0, 0] = gamma
-        return self._project(self._gamma)[0]
+        return self._project(float(gamma))
 
     def curve(self, gammas: np.ndarray) -> np.ndarray:
         """The criterion at each of ``gammas``, one chunk of rows per pass.
@@ -389,10 +412,10 @@ def estimate_alpha_cn(sample: SortedSample, background: KnownCdf, c_n: float) ->
 
     The feasible set ``{gamma : sqrt(n) * criterion(gamma) <= c_n}`` is an
     interval stretching to 1.  Its left endpoint is found by Newton's
-    method on the squared criterion, which is convex and non-increasing in
-    gamma: started at 0, the iterates rise to the endpoint from below and
-    stop within rounding of it, usually after about ten projections.
-    Returns 0 when the background alone already fits within the threshold.
+    method on the criterion, which is convex and non-increasing in gamma:
+    started at 0, the iterates rise to the endpoint from below and stop
+    within rounding of it, usually after six to eight projections.  Returns
+    0 when the background alone already fits within the threshold.
     """
     if c_n <= 0.0 or not math.isfinite(c_n):
         raise ValueError("c_n must be positive and finite")

@@ -24,7 +24,10 @@ of scipy (``scipy.special`` included) and takes longer than everything else
 a ``mixsep`` command imports; the compiled module itself needs none of it.
 The loaded module is not entered in ``sys.modules``.  If the file is not
 where scipy's layout puts it, or cannot be loaded, the regular import is
-the fallback, which gives the same routine at the old import cost.
+the fallback, which gives the same routine at the old import cost.  If
+that fails too, as it would after a rename of the private module, an
+adapter over the public :func:`scipy.optimize.isotonic_regression` keeps
+the routine's contract: the same fits, more slowly.
 """
 from __future__ import annotations
 
@@ -67,8 +70,20 @@ def _load_pava():
             except (ImportError, OSError):
                 continue
             return module.pava
-    from scipy.optimize._pava_pybind import pava
+    try:
+        from scipy.optimize._pava_pybind import pava
+    except ImportError:
+        from scipy.optimize import isotonic_regression
 
+        def pava(x, w, r):
+            # The compiled routine's contract: pool x in place, leave the
+            # block weights in w[:b] and the block bounds in r[:b + 1].
+            fit = isotonic_regression(x, weights=w)
+            b = fit.blocks.size - 1
+            x[:] = fit.x
+            w[:b] = fit.weights
+            r[:b + 1] = fit.blocks
+            return x, w, r, b
     return pava
 
 
@@ -201,31 +216,6 @@ class PiecewiseLinearConcaveFn:
         if np.any(xq < self.knots[0] - _CONCAVITY_TOL):
             raise ValueError("query point below the function's domain")
         out = np.interp(xq, self.knots, self.values)
-        return float(out[0]) if scalar else out
-
-    def left_derivative(self, x):
-        """Left-hand slope at ``x`` (scalar or array).
-
-        Piecewise constant and non-increasing; at a knot it returns the
-        slope of the segment ending there.  ``x`` must lie in
-        ``(knots[0], knots[-1] + slack]`` with
-        ``slack = 1e-12 * max(1, |knots[0]|, |knots[-1]|)``, so that a query
-        which is the last knot in exact arithmetic but rounds just past it
-        gets the last segment's slope.  Queries farther out raise: the
-        constant extension of :meth:`evaluate` has slope 0 there, which
-        breaks concavity whenever the last slope is negative.
-        """
-        if self.knots.size < 2:
-            raise ValueError("left derivative undefined for a single-knot function")
-        xq = np.asarray(x, dtype=float)
-        scalar = xq.ndim == 0
-        xq = np.atleast_1d(xq)
-        first, last = self.knots[0], self.knots[-1]
-        slack = _CONCAVITY_TOL * max(1.0, abs(first), abs(last))
-        if np.any(xq <= first) or np.any(xq > last + slack):
-            raise ValueError("query point outside (first knot, last knot]")
-        seg = np.searchsorted(self.knots, np.minimum(xq, last), side="left")
-        out = self.slopes()[seg - 1]
         return float(out[0]) if scalar else out
 
 

@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from mixsep.distributions import (
@@ -18,7 +16,6 @@ from mixsep.distributions import (
     Uniform,
     load_tabulated_csv,
     parse_distribution,
-    push_through_quantile,
 )
 from mixsep.rng import stream
 
@@ -237,22 +234,6 @@ def test_parse_distribution_rejects_malformed(bad):
 def test_parse_distribution_bare_names_use_defaults():
     assert parse_distribution("uniform") == Uniform(0.0, 1.0)
     assert parse_distribution("normal") == Normal(0.0, 1.0)
-
-
-# --- quantile transform --------------------------------------------------------
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(min_value=1e-6, max_value=1 - 1e-6), min_size=1, max_size=50))
-def test_push_through_quantile_roundtrip(us):
-    d = Normal(0.3, 1.7)
-    xs = push_through_quantile(np.asarray(us), d)
-    np.testing.assert_allclose(d.cdf(xs), us, atol=1e-12)
-
-
-def test_push_through_quantile_rejects_discrete():
-    with pytest.raises(ValueError, match="non-invertible"):
-        push_through_quantile(np.array([0.5]), Poisson(2.0))
 
 
 def test_exponential_cdf_closed_form():

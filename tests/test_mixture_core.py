@@ -549,13 +549,28 @@ def test_root_is_the_smallest_feasible_gamma(projections, case, threshold):
     hi = bisection_root(s, background, t)
     projections.clear()
     root = estimate_alpha_cn(s, background, c_n)
-    assert len(projections) <= 14
+    assert len(projections) <= 9
     assert root <= hi
     assert hi - root <= 1e-6
     assert (root == 0.0) == (criterion(s, background, 0.0) <= t)
     if root > 0.0:
         assert criterion(s, background, min(root + 1e-12, 1.0)) <= t
         assert t < criterion(s, background, max(root - 1e-9, 0.0))
+
+
+@pytest.mark.parametrize("c_n", [1e-3, 1e-9, 1e-30, 1e-200])
+@pytest.mark.parametrize("case", sorted(_ROOT_CASES))
+def test_root_stays_below_the_oracle_at_small_thresholds(projections, case, c_n):
+    # The smaller the threshold, the nearer the root lies to 1, where a
+    # Newton step on the criterion can round up to 1 and stop short.
+    make, background = _ROOT_CASES[case]
+    s = make()
+    hi = bisection_root(s, background, c_n / math.sqrt(s.n))
+    projections.clear()
+    root = estimate_alpha_cn(s, background, c_n)
+    assert len(projections) <= 16
+    assert root <= hi
+    assert hi - root <= 1e-6
 
 
 @pytest.mark.parametrize("case", sorted(_ROOT_CASES))

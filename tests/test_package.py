@@ -81,6 +81,43 @@ def test_pava_loader_falls_back_to_scipys_import(monkeypatch, break_lookup):
     assert _load_pava() is _pava_pybind.pava
 
 
+def test_pava_loader_falls_back_to_the_public_function(monkeypatch):
+    import importlib.util
+
+    import scipy.optimize  # noqa: F401  (imported before its private module is hidden)
+
+    from mixsep import mixture_core, shape_restricted
+    from mixsep.shape_restricted import _isotonic, _load_pava
+
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    monkeypatch.setitem(sys.modules, "scipy.optimize._pava_pybind", None)
+    public = _load_pava()
+    assert public is not shape_restricted._pava
+
+    rng = np.random.default_rng(29)
+    inputs = [(rng.normal(size=800) + np.linspace(0.0, 3.0, 800), None),
+              (rng.normal(size=800) + np.linspace(0.0, 3.0, 800), rng.uniform(0.1, 5.0, 800))]
+    x = np.where(rng.random(600) < 0.2, rng.beta(1.0, 10.0, 600), rng.random(600))
+    sample = mixsep.SortedSample.from_data(np.round(x, 2))  # ties: weighted rows
+    uniform = mixsep.Uniform(0.0, 1.0)
+
+    def run():
+        fits = [_isotonic(v, w) for v, w in inputs]
+        curve = mixsep.criterion_curve(sample, uniform, 200).values
+        return fits, curve, mixsep.estimate_alpha_cn(sample, uniform, 0.5)
+
+    want = run()
+    monkeypatch.setattr(shape_restricted, "_pava", public)
+    monkeypatch.setattr(mixture_core, "_pava", public)
+    got = run()
+    for (fit, starts), (want_fit, want_starts) in zip(got[0], want[0]):
+        assert np.array_equal(fit.view(np.uint64), want_fit.view(np.uint64))
+        assert np.array_equal(starts, want_starts)
+        assert starts.size < fit.size  # some values were pooled
+    assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+    assert got[2] == want[2] > 0.0
+
+
 BIT_FOR_BIT = """
 import sys
 import numpy as np

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression as scipy_isotonic_regression
 
@@ -402,17 +402,10 @@ def test_lcm_with_tied_values_matches_loop_and_oracle(knots_values):
 
 @settings(max_examples=100, deadline=None)
 @given(knot_sets(max_size=15))
-# xs[0] + 1.0 * span rounds one ulp past xs[-1] for these knots
-@example(knots_values=(np.cumsum([0.3, 0.1, 0.5]), np.array([0.0, 1.0, 0.5])))
-def test_lcm_left_derivative_is_nonincreasing(knots_values):
+def test_lcm_slopes_are_nonincreasing(knots_values):
     xs, ys = knots_values
     hull = least_concave_majorant(xs, ys)
-    span = xs[-1] - xs[0]
-    if span <= 0:
-        return
-    qs = xs[0] + np.linspace(0.05, 1.0, 13) * span
-    d = hull.left_derivative(qs)
-    assert np.all(np.diff(d) <= 1e-9)
+    assert np.all(np.diff(hull.slopes()) <= 1e-9)
 
 
 # --- piecewise linear concave function ---------------------------------------
@@ -451,19 +444,3 @@ def test_concave_fn_rejects_non_finite_slopes(knots, values):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="segment slopes must be finite"):
             PiecewiseLinearConcaveFn(knots=np.array(knots), values=np.array(values))
-
-
-def test_left_derivative_matches_segment_slopes():
-    f = PiecewiseLinearConcaveFn(knots=np.array([0.0, 1.0, 3.0]),
-                                 values=np.array([0.0, 2.0, 3.0]))
-    assert f.left_derivative(0.5) == pytest.approx(2.0)
-    assert f.left_derivative(1.0) == pytest.approx(2.0)  # left limit at the knot
-    assert f.left_derivative(2.0) == pytest.approx(0.5)
-    assert f.left_derivative(3.0) == pytest.approx(0.5)
-    # a query that rounds just past the last knot gets the last slope ...
-    assert f.left_derivative(np.nextafter(3.0, np.inf)) == pytest.approx(0.5)
-    # ... but the rounding slack does not reach further out
-    with pytest.raises(ValueError):
-        f.left_derivative(3.0 + 1e-6)
-    with pytest.raises(ValueError):
-        f.left_derivative(0.0)

@@ -151,7 +151,7 @@ def test_removed_names_stay_removed():
     import inspect
 
     for name in ("CriticalValueSpec", "naive_component_values", "clip_unit", "closest_gaussian",
-                 "cached_hn_quantile", "resolve_cache_path"):
+                 "cached_hn_quantile", "resolve_cache_path", "push_through_quantile"):
         assert name not in mixsep.__all__
         assert not hasattr(mixsep, name)
         assert not hasattr(mixsep.confidence, name)

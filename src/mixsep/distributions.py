@@ -419,6 +419,9 @@ class Tabulated(KnownCdf):
         if values[0] < 0.0 or abs(values[-1] - 1.0) > 1e-9:
             raise ValueError("table CDF must start >= 0 and end at 1")
         values[-1] = 1.0
+        # Read-only, so that a criterion kernel built on this table stays valid.
+        xs.flags.writeable = False
+        values.flags.writeable = False
         if self.mode not in ("linear", "step"):
             raise ValueError("mode must be 'linear' or 'step'")
         object.__setattr__(self, "is_discrete", self.mode == "step")

@@ -14,7 +14,8 @@ identifiable proportion off that curve, either by thresholding
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +46,9 @@ _PEAK_WINDOW = 0.05
 # holds max(1, _CHUNK_VALUES // m) gammas for m collapsed points.
 _CHUNK_VALUES = 16_384
 
+# Threshold roots a criterion kernel keeps, oldest dropped first.
+_ROOT_MEMO = 16
+
 
 class NoElbowError(ValueError):
     """Raised when a criterion curve is too flat to contain an elbow."""
@@ -57,26 +61,43 @@ class SortedSample:
     ``ecdf[i]`` is the fraction of sample values ``<= values[i]``, so tied
     values share the value at the upper end of their block (the
     right-continuous convention).
+
+    ``values`` and ``ecdf`` are the sample's own read-only copies: the
+    arrays a caller passes are copied and stay writeable.  The sample keeps
+    one criterion kernel, for the background it was last used with, so
+    that the criterion functions of this module, the thresholded estimates
+    and signal recovery share one evaluation of the background CDF, one
+    set of scratch buffers and the roots already found.  Any other
+    background object replaces the kernel.  A sample may be shared between
+    threads: each call holds the kernel's lock while it computes.
     """
 
     values: np.ndarray
     ecdf: np.ndarray
+    _kernel: "_Criterion | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        ecdf = np.asarray(self.ecdf, dtype=float)
+        values = np.array(self.values, dtype=float)
+        ecdf = np.array(self.ecdf, dtype=float)
+        values.flags.writeable = False
+        ecdf.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "ecdf", ecdf)
         if values.ndim != 1 or values.shape != ecdf.shape:
             raise ValueError("values and ecdf must be one-dimensional and equal length")
         if values.size == 0:
             raise ValueError("empty sample")
-        if not np.all(np.isfinite(values)):
+        # Each check is written so that a NaN fails it.
+        if not np.isfinite(values).all():
             raise ValueError("sample values must be finite")
-        if np.any(np.diff(values) < 0.0):
+        if not (values[1:] >= values[:-1]).all():
             raise ValueError("values must be sorted ascending")
-        if np.any(ecdf <= 0.0) or np.any(ecdf > 1.0) or np.any(np.diff(ecdf) < 0.0):
+        if not (ecdf[0] > 0.0 and ecdf[-1] <= 1.0 and (ecdf[1:] >= ecdf[:-1]).all()):
             raise ValueError("ecdf values must be non-decreasing and lie in (0, 1]")
+
+    def __reduce__(self):
+        # The kernel holds a lock, which does not pickle; a copy builds its own.
+        return type(self), (self.values, self.ecdf)
 
     @classmethod
     def from_data(cls, data) -> "SortedSample":
@@ -157,25 +178,32 @@ class CriterionCurve:
 class _Criterion:
     """The criterion of one sample against one background, as a function of gamma.
 
-    Built once per public call.  It keeps ``D = F_n - F_b`` and ``f = F_b``
-    at the end of each run of points whose value and ecdf are both equal
-    (such points share every coordinate of the naive vector, so isotonic
-    regression treats the run as one point weighted by its length).  Since
-    isotonic regression is positively homogeneous, ``gamma * naive = D +
-    gamma * f`` is projected directly and clipped to ``[0, gamma]``, with
-    no division; ``values`` holds the sample value of each collapsed point.
+    Each sample keeps one, which every public call reaches through
+    :func:`_criterion` and uses inside a ``with`` block: the block holds the
+    kernel's lock while the call uses the scratch buffers.  It keeps ``D =
+    F_n - F_b`` and ``f = F_b`` at the end of each run of points whose
+    value and ecdf are both equal (such points share every coordinate of
+    the naive vector, so isotonic regression treats the run as one point
+    weighted by its length).  Since isotonic regression is positively
+    homogeneous, ``gamma * naive = D + gamma * f`` is projected directly and
+    clipped to ``[0, gamma]``, with no division; ``values`` holds the sample
+    value of each collapsed point.
 
     One kernel, :meth:`_project`, evaluates a chunk of gammas at once, one
     row per gamma, in buffers of ``max(1, _CHUNK_VALUES // m)`` rows of the
-    m collapsed points allocated here; a call uses as many rows as it has
-    gammas.  No array of the sample's length is allocated per gamma or per
-    chunk, and construction has already checked what the compiled routine
-    needs (finite ``F_b``, positive run-length weights).  :meth:`curve`
-    walks a grid chunk by chunk, and :meth:`__call__` passes a 1 x 1 column
-    kept here, so that its value is a curve value bit for bit.  :meth:`fit`
-    and each Newton step of :meth:`root`, whose pass also returns the
-    slope, hand the kernel a float instead, which it projects on 1-D views
-    of the first rows, without the column's broadcasting.
+    m collapsed points; a call uses as many rows as it has gammas.  Buffers
+    of one chunk or less are kept for the kernel's lifetime.  Larger ones,
+    a single row of more than ``_CHUNK_VALUES`` points, are released when a
+    ``with`` block ends and allocated again by the next, so that a kept
+    kernel costs no more than its sample's few arrays.  No array of the
+    sample's length is allocated per gamma or per chunk, and construction
+    has already checked what the compiled routine needs (finite ``F_b``,
+    positive run-length weights).  :meth:`curve` walks a grid chunk by
+    chunk, and :meth:`__call__` passes a 1 x 1 column kept here, so that
+    its value is a curve value bit for bit.  :meth:`fit` and each Newton
+    step of :meth:`root`, whose pass also returns the slope, hand the
+    kernel a float instead, which it projects on 1-D views of the first
+    rows, without the column's broadcasting.
     """
 
     def __init__(self, sample: SortedSample, background: KnownCdf):
@@ -190,22 +218,46 @@ class _Criterion:
             ends = np.flatnonzero(np.append(new_run, True))
             self._weights = np.diff(ends, prepend=-1).astype(float)[None]
             values, ecdf, fb = values[ends], ecdf[ends], fb[ends]
+        self.background = background
         self.values = values
         # D, f and the weights are one-row arrays, so that a 1 x 1 column
         # combines with arrays of its own rank; ``_row`` holds 1-D views.
         self._d = (ecdf - fb)[None]
         self._f = fb[None]
         self._n = sample.n
-        m = fb.size
+        self._gamma = np.empty((1, 1))
+        self._lock = threading.Lock()
+        # Roots found so far, by threshold, and the pass at gamma = 0 that
+        # every Newton iteration starts from.
+        self._roots = {}
+        self._zero = None
+        self._allocate()
+
+    def _allocate(self):
+        m = self._f.size
         rows = max(1, _CHUNK_VALUES // m)
         self._y = np.empty((rows, m))
         self._fit = np.empty((rows, m))
         self._w = np.empty((rows, m))
         self._r = np.empty(m + 1, dtype=np.intp)
-        self._gamma = np.empty((1, 1))
         # 1-D views of the first rows, for a one-gamma pass given as a float.
         self._row = (self._y[0], self._fit[0], self._w[0], self._d[0], self._f[0],
                      None if self._weights is None else self._weights[0])
+
+    def __enter__(self) -> "_Criterion":
+        self._lock.acquire()
+        if self._y is None:
+            try:
+                self._allocate()
+            except BaseException:
+                self._lock.release()
+                raise
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._y.size > _CHUNK_VALUES:
+            self._y = self._fit = self._w = self._r = self._row = None
+        self._lock.release()
 
     def _project(self, g, mark_top: bool = False) -> np.ndarray:
         """``clip(iso(D + g * f), 0, g)`` for a float ``g`` or a column of at most one chunk.
@@ -293,23 +345,44 @@ class _Criterion:
         the threshold (0 when the background alone fits), or when neither
         step raises gamma below 1 in floating point, which leaves gamma
         within rounding of the root.  A slope that is not negative can only
-        come from rounding there too, and also stops it.
+        come from rounding there too, and also stops it.  So does a
+        computed ``c`` that has not fallen over two steps in a row: each
+        step lowers the exact ``c``, so ``c - threshold`` then sits at the
+        rounding floor of ``c``, where the steps would only crawl up an ulp
+        of gamma at a time.
+
+        Each root is found once per threshold and then returned as found,
+        and the pass at gamma = 0 is made once for all of them.
         """
+        gamma = self._roots.get(threshold)
+        if gamma is None:
+            if len(self._roots) >= _ROOT_MEMO:
+                del self._roots[next(iter(self._roots))]
+            gamma = self._roots[threshold] = self._newton(threshold)
+        return gamma
+
+    def _newton(self, threshold: float) -> float:
+        if self._zero is None:
+            self._zero = self._sum_and_slope(0.0)
+        s, slope = self._zero
         n = self._n
-        gamma = 0.0
+        gamma, last, flat = 0.0, math.inf, 0
         while True:
-            s, slope = self._sum_and_slope(gamma)
             # The test __call__ makes, so that gamma = 0 is decided as by
             # criterion(0) <= threshold, bit for bit.
             c = math.sqrt(s / n)
             if c <= threshold or not slope < 0.0:
+                return gamma
+            flat = flat + 1 if c >= last else 0
+            if flat == 2:
                 return gamma
             step = gamma - 2.0 * n * c * (c - threshold) / slope
             if not step < 1.0:
                 step = gamma - n * (c - threshold) * (c + threshold) / slope
             if not gamma < step < 1.0:
                 return gamma
-            gamma = step
+            gamma, last = step, c
+            s, slope = self._sum_and_slope(gamma)
 
     def fit(self, gamma: float) -> np.ndarray:
         """``gamma`` times the projected signal CDF at the collapsed points.
@@ -336,6 +409,23 @@ class _Criterion:
         return math.sqrt(float(self._sums(self._gamma)[0]) / self._n)
 
 
+def _criterion(sample: SortedSample, background: KnownCdf) -> _Criterion:
+    """The sample's criterion kernel for ``background``, built on first use.
+
+    The kernel is kept on the sample for the background object it was built
+    from, compared by identity (a ``Tabulated`` holds arrays and has no
+    value equality); another background builds and keeps a new one.  Use it
+    in a ``with`` block, which holds its lock.
+    """
+    kernel = sample._kernel
+    if kernel is None or kernel.background is not background:
+        # Threads that race here each build a kernel and use their own;
+        # the sample keeps the last one stored.
+        kernel = _Criterion(sample, background)
+        object.__setattr__(sample, "_kernel", kernel)
+    return kernel
+
+
 def isotonized_cdf(sample: SortedSample, background: KnownCdf, gamma: float) -> StepCdf:
     """Project the naive signal-CDF values onto valid CDFs.
 
@@ -347,10 +437,12 @@ def isotonized_cdf(sample: SortedSample, background: KnownCdf, gamma: float) -> 
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
-    crit = _Criterion(sample, background)
-    x = crit.values
-    last = np.flatnonzero(np.append(x[1:] != x[:-1], True))
-    return StepCdf(jumps=x[last], values=crit.fit(gamma)[last] / gamma)
+    with _criterion(sample, background) as crit:
+        x = crit.values
+        last = np.flatnonzero(np.append(x[1:] != x[:-1], True))
+        # Indexing copies the fit out of the buffer before the lock is released.
+        jumps, values = x[last], crit.fit(gamma)[last] / gamma
+    return StepCdf(jumps=jumps, values=values)
 
 
 def criterion(sample: SortedSample, background: KnownCdf, gamma: float) -> float:
@@ -370,25 +462,27 @@ def criterion(sample: SortedSample, background: KnownCdf, gamma: float) -> float
     """
     if not (0.0 <= gamma <= 1.0):
         raise ValueError("gamma must lie in [0, 1]")
-    return _Criterion(sample, background)(gamma)
+    with _criterion(sample, background) as crit:
+        return crit(gamma)
 
 
 def criterion_curve(sample: SortedSample, background: KnownCdf, grid_size: int = 200) -> CriterionCurve:
     """Criterion evaluated on the uniform grid ``k / grid_size``, k = 1..grid_size.
 
-    The background CDF is evaluated once and tied points are collapsed
-    once, as in :func:`criterion`: each grid point costs one isotonic
-    projection over the distinct (value, ecdf) pairs, weighted by their
-    counts.  The grid is evaluated a chunk of gammas at a time, so each
-    numpy operation around the projections covers many grid points when
-    the sample is small; the values are those :func:`criterion` returns,
-    bit for bit.
+    The background CDF is evaluated and tied points are collapsed once per
+    sample and background, as in :func:`criterion`: each grid point costs
+    one isotonic projection over the distinct (value, ecdf) pairs,
+    weighted by their counts.  The grid is evaluated a chunk of gammas at
+    a time, so each numpy operation around the projections covers many
+    grid points when the sample is small; the values are those
+    :func:`criterion` returns, bit for bit.
     """
     check_count("grid_size", grid_size)
     if grid_size < 10:
         raise ValueError("grid_size must be at least 10")
     gammas = np.arange(1, grid_size + 1, dtype=float) / grid_size
-    values = _Criterion(sample, background).curve(gammas)
+    with _criterion(sample, background) as crit:
+        values = crit.curve(gammas)
     h = 1.0 / grid_size
     second = (values[:-2] - 2.0 * values[1:-1] + values[2:]) / (h * h)
     return CriterionCurve(gammas=gammas, values=values, second_differences=second)
@@ -415,11 +509,14 @@ def estimate_alpha_cn(sample: SortedSample, background: KnownCdf, c_n: float) ->
     method on the criterion, which is convex and non-increasing in gamma:
     started at 0, the iterates rise to the endpoint from below and stop
     within rounding of it, usually after six to eight projections.  Returns
-    0 when the background alone already fits within the threshold.
+    0 when the background alone already fits within the threshold.  The
+    sample keeps the roots it has found, so the same threshold against the
+    same background costs no projection the second time.
     """
     if c_n <= 0.0 or not math.isfinite(c_n):
         raise ValueError("c_n must be positive and finite")
-    return _Criterion(sample, background).root(c_n / math.sqrt(sample.n))
+    with _criterion(sample, background) as crit:
+        return crit.root(c_n / math.sqrt(sample.n))
 
 
 def _interior_peaks(second: np.ndarray) -> np.ndarray:

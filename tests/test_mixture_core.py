@@ -1,6 +1,10 @@
 """Criterion, thresholded estimator and elbow: pinned values and structural laws."""
 import math
+import pickle
+import sys
+import threading
 import tracemalloc
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression as scipy_isotonic_regression
 
 import mixsep.mixture_core as mixture_core
-from mixsep.confidence import critical_value
+from mixsep.confidence import critical_value, homogeneity_test, lower_bound
 from mixsep.distributions import Beta, Normal, Tabulated, Uniform
 from mixsep.mixture_core import (
     CriterionCurve,
@@ -83,6 +87,50 @@ def test_from_data_sorts_and_rejects_bad_input():
     for bad in ([0.1, np.inf], [np.nan, 0.2]):
         with pytest.raises(ValueError, match="sample values must be finite"):
             SortedSample.from_data(bad)
+
+
+def test_sorted_sample_rejects_bad_arrays():
+    # NaN fails every comparison, so each check must be one that NaN fails.
+    cases = [
+        ([0.1, 0.2], [0.5], "one-dimensional and equal length"),
+        ([], [], "empty sample"),
+        ([0.1, np.nan], [0.5, 1.0], "sample values must be finite"),
+        ([0.2, 0.1], [0.5, 1.0], "sorted ascending"),
+        ([0.1, 0.2], [np.nan, np.nan], "ecdf values"),
+        ([0.1, 0.2], [np.nan, 1.0], "ecdf values"),
+        ([0.1, 0.2, 0.3], [0.3, np.nan, 1.0], "ecdf values"),
+        ([0.1, 0.2], [0.5, np.nan], "ecdf values"),
+        ([0.1, 0.2], [0.0, 1.0], "ecdf values"),
+        ([0.1, 0.2], [0.5, 1.5], "ecdf values"),
+        ([0.1, 0.2, 0.3], [0.5, 0.4, 1.0], "ecdf values"),
+    ]
+    for values, ecdf, message in cases:
+        with pytest.raises(ValueError, match=message):
+            SortedSample(values=values, ecdf=ecdf)
+
+
+def test_sample_keeps_read_only_copies_of_its_arrays():
+    x = np.array([0.1, 0.5, 0.9])
+    e = np.array([1 / 3, 2 / 3, 1.0])
+    s = SortedSample(values=x, ecdf=e)
+    assert not s.values.flags.writeable and not s.ecdf.flags.writeable
+    assert x.flags.writeable and e.flags.writeable
+    assert not np.shares_memory(s.values, x) and not np.shares_memory(s.ecdf, e)
+    with pytest.raises(ValueError, match="read-only"):
+        s.values[0] = 0.2
+    table = _CASES["tabulated"][1]
+    assert not table.xs.flags.writeable and not table.values.flags.writeable
+    assert _TABLE_XS.flags.writeable
+
+
+def test_sample_with_a_kernel_copies_and_pickles():
+    s = beta_uniform_sample(300, 0.2, seed=6)
+    want = estimate_alpha_cn(s, UNIF, default_cn(s.n))
+    for copy in (pickle.loads(pickle.dumps(s)), deepcopy(s)):
+        assert copy._kernel is None
+        np.testing.assert_array_equal(copy.values, s.values)
+        np.testing.assert_array_equal(copy.ecdf, s.ecdf)
+        assert estimate_alpha_cn(copy, UNIF, default_cn(s.n)) == want
 
 
 # --- criterion ------------------------------------------------------------------
@@ -344,7 +392,7 @@ def test_curve_projects_once_per_gamma_over_distinct_values(projections, decimal
         assert k < s.n
 
 
-def test_background_cdf_is_evaluated_once_per_call(monkeypatch):
+def test_background_cdf_is_evaluated_once_per_sample_and_background(monkeypatch):
     s = beta_uniform_sample(500, 0.2, seed=10)
     calls = []
     raw = Uniform.cdf
@@ -356,7 +404,18 @@ def test_background_cdf_is_evaluated_once_per_call(monkeypatch):
     monkeypatch.setattr(Uniform, "cdf", counting)
     criterion_curve(s, UNIF, 200)
     estimate_alpha_cn(s, UNIF, default_cn(s.n))
+    lower_bound(s, UNIF)
+    homogeneity_test(s, UNIF)
+    recover_signal(s, UNIF, 0.2)
+    criterion(s, UNIF, 0.0)
+    assert calls == [s.n]
+    # an equal background that is another object builds another kernel
+    other = Uniform(0.0, 1.0)
+    criterion(s, other, 0.5)
+    criterion(s, other, 0.7)
     assert calls == [s.n, s.n]
+    criterion(s, UNIF, 0.5)
+    assert calls == [s.n, s.n, s.n]
 
 
 @pytest.mark.parametrize("decimals", [None, 3, 2])
@@ -558,12 +617,21 @@ def test_root_is_the_smallest_feasible_gamma(projections, case, threshold):
         assert t < criterion(s, background, max(root - 1e-9, 0.0))
 
 
+# Rounded to 3 decimals, n = 50: at c_n = 1e-3 the computed criterion is
+# flat to the last bit just below the root, where each Newton step rose by
+# an ulp of gamma and a root took 157 passes.
+_CRAWL_CASES = {
+    **_ROOT_CASES,
+    "small_rounded_3": (lambda: SortedSample.from_data(np.round(stream(116, 61).random(50), 3)), UNIF),
+}
+
+
 @pytest.mark.parametrize("c_n", [1e-3, 1e-9, 1e-30, 1e-200])
-@pytest.mark.parametrize("case", sorted(_ROOT_CASES))
+@pytest.mark.parametrize("case", sorted(_CRAWL_CASES))
 def test_root_stays_below_the_oracle_at_small_thresholds(projections, case, c_n):
     # The smaller the threshold, the nearer the root lies to 1, where a
     # Newton step on the criterion can round up to 1 and stop short.
-    make, background = _ROOT_CASES[case]
+    make, background = _CRAWL_CASES[case]
     s = make()
     hi = bisection_root(s, background, c_n / math.sqrt(s.n))
     projections.clear()
@@ -592,15 +660,153 @@ def test_root_allocates_no_sample_length_array(decimals):
     crit = mixture_core._Criterion(s, UNIF)
     assert (crit._weights is None) == (decimals is None)
     threshold = default_cn(s.n) / math.sqrt(s.n)
-    crit.root(threshold)
+    first = crit.root(threshold)
+    # Another threshold, since the kernel keeps the roots it has found.
     tracemalloc.start()
     try:
-        root = crit.root(threshold)
+        root = crit.root(0.9 * threshold)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert root > 0.0
+    assert root > first > 0.0
     assert peak < crit.values.size * 8
+
+
+# --- the kernel a sample keeps ---------------------------------------------------
+
+
+def mixed_calls(s, background):
+    """Public results on one sample, in an order that leaves every kind of
+    call's data in the shared buffers before the next."""
+    c_n, cv = default_cn(s.n), critical_value(s.n, 0.05)
+    step = isotonized_cdf(s, background, 0.3)
+    return {
+        "alpha_cn": estimate_alpha_cn(s, background, c_n),
+        "curve": criterion_curve(s, background, 200).values,
+        "alpha_lower": estimate_alpha_cn(s, background, cv),
+        "at_zero": criterion(s, background, 0.0),
+        "step": (step.jumps, step.values),
+        "alpha_lower_again": estimate_alpha_cn(s, background, cv),
+        "step_again": isotonized_cdf(s, background, 0.3).values,
+        "at_0.37": criterion(s, background, 0.37),
+        "alpha_cn_again": estimate_alpha_cn(s, background, c_n),
+    }
+
+
+def fresh_calls(s, background):
+    """The same results, each from a kernel built for it alone: every call
+    gets its own copy of the sample."""
+    fresh = lambda: SortedSample(values=s.values, ecdf=s.ecdf)
+    c_n, cv = default_cn(s.n), critical_value(s.n, 0.05)
+    step = isotonized_cdf(fresh(), background, 0.3)
+    return {
+        "alpha_cn": mixture_core._Criterion(s, background).root(c_n / math.sqrt(s.n)),
+        "curve": criterion_curve(fresh(), background, 200).values,
+        "alpha_lower": estimate_alpha_cn(fresh(), background, cv),
+        "at_zero": criterion(fresh(), background, 0.0),
+        "step": (step.jumps, step.values),
+        "alpha_lower_again": estimate_alpha_cn(fresh(), background, cv),
+        "step_again": step.values,
+        "at_0.37": mixture_core._Criterion(s, background)(0.37),
+        "alpha_cn_again": estimate_alpha_cn(fresh(), background, c_n),
+    }
+
+
+def assert_same_results(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_array_equal(np.asarray(got[key]), np.asarray(want[key]), err_msg=key)
+
+
+_ALL_CASES = {**{f"cases-{k}": v for k, v in _CASES.items()},
+              **{f"root_cases-{k}": v for k, v in _ROOT_CASES.items()}}
+
+
+@pytest.mark.parametrize("case", sorted(_ALL_CASES))
+def test_kept_kernel_gives_a_fresh_kernels_results_bit_for_bit(case):
+    make, background = _ALL_CASES[case]
+    s = make()
+    assert_same_results(mixed_calls(s, background), fresh_calls(s, background))
+    kernel = s._kernel
+    assert kernel is not None and kernel.background is background
+    # another background object replaces the kernel, and the first comes back rebuilt
+    other = Normal(0.5, 2.0)
+    assert_same_results(mixed_calls(s, other), fresh_calls(s, other))
+    assert s._kernel.background is other
+    assert_same_results(mixed_calls(s, background), fresh_calls(s, background))
+    assert s._kernel is not kernel and s._kernel.background is background
+
+
+def test_small_fit_projects_each_root_once(projections):
+    # The calls of one small_n benchmark op, against a sample of its own
+    # for lower_bound alone.
+    make = lambda: beta_uniform_sample(300, 0.3, seed=23)
+    alone = lower_bound(make(), UNIF)
+    on_fresh_sample = len(projections)
+    s = make()
+    projections.clear()
+    estimate_alpha_cn(s, UNIF, default_cn(s.n))
+    after_root = len(projections)
+    criterion_curve(s, UNIF, 200)
+    after_curve = len(projections)
+    assert lower_bound(s, UNIF) == alone > 0.0
+    after_bound = len(projections)
+    assert homogeneity_test(s, UNIF).alpha_lower == alone
+    assert after_root > 1
+    assert after_curve - after_root == 200
+    # the pass at gamma = 0 is shared with the first root
+    assert after_bound - after_curve == on_fresh_sample - 1
+    assert len(projections) == after_bound
+
+
+@pytest.mark.parametrize("m, kept", [(mixture_core._CHUNK_VALUES, True),
+                                     (mixture_core._CHUNK_VALUES + 1, False)])
+def test_kernel_keeps_only_chunk_sized_buffers(m, kept):
+    s = SortedSample.from_data(stream(24, 61).random(m))
+    c_n = default_cn(s.n)
+    alpha = estimate_alpha_cn(s, UNIF, c_n)
+    kernel = s._kernel
+    assert kernel.values.size == m
+    assert (kernel._y is not None) == kept
+    # the next call allocates what the last released, and computes the same
+    curve = criterion_curve(s, UNIF, 20).values
+    assert s._kernel is kernel
+    fresh = SortedSample(values=s.values, ecdf=s.ecdf)
+    np.testing.assert_array_equal(curve, criterion_curve(fresh, UNIF, 20).values)
+    assert criterion(s, UNIF, alpha) == criterion(fresh, UNIF, alpha)
+
+
+@pytest.mark.parametrize("n, decimals", [(400, 2), (mixture_core._CHUNK_VALUES + 500, None)],
+                         ids=["chunk_buffers", "released_buffers"])
+def test_threads_sharing_a_sample_match_serial_results(n, decimals):
+    x = beta_uniform_sample(n, 0.2, seed=25).values
+    s = SortedSample.from_data(x if decimals is None else np.round(x, decimals))
+    backgrounds = (UNIF, Beta(1.0, 1.5))
+    want = [mixed_calls(SortedSample(values=s.values, ecdf=s.ecdf), b) for b in backgrounds]
+    got, errors = [], []
+
+    def work(k):
+        try:
+            for _ in range(3):
+                got.append((k % 2, mixed_calls(s, backgrounds[k % 2])))
+        except BaseException as exc:  # reported below, in the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert len(got) == 12
+    for k, result in got:
+        assert_same_results(result, want[k])
 
 
 def test_estimate_alpha_close_to_truth_in_mixture():

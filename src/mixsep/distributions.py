@@ -5,20 +5,31 @@ or probability mass), ``quantile`` (the generalized inverse
 ``inf{t : p <= F(t)}``), and seeded ``sample``.  Heavy special-function
 work is delegated to scipy; the classes here pin down conventions
 (generalized inverses, tie handling, tabulated interpolation modes) that
-the estimators rely on.  ``scipy.special`` and ``scipy.stats`` take longer
-to import than the rest of the package, and the Uniform, Exponential and
-tabulated backgrounds need neither, so the methods that use them import
-them on first use.
+the estimators rely on.
+
+``scipy.special`` and ``scipy.stats`` take longer to import, and hold more
+memory, than the rest of the package, so nothing here imports them before
+a method needs them.  The Uniform, Exponential and tabulated backgrounds
+need neither.  The normal CDF, the only scipy routine that a fit against
+a normal background calls, is the compiled ``ndtr`` ufunc loaded from
+``scipy/special/_special_ufuncs`` on the first call, without the
+``scipy.special`` package (``scipy.special.ndtr`` where that file is
+absent); it is the same ufunc, so the values are the same bit for bit.
+The normal quantile, every Student t, beta, Poisson and binomial method,
+and scenario A's t-test p-values (``sim_harness``) still import
+``scipy.special`` or ``scipy.stats`` on first use.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._compiled import load_compiled
 from .rng import stream
 
 __all__ = [
@@ -47,6 +58,15 @@ def _prep(x):
 
 def _out(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
+
+
+@functools.cache
+def _ndtr():
+    """scipy's compiled standard normal CDF ufunc, ``scipy.special.ndtr``."""
+    ndtr = load_compiled("special", "_special_ufuncs", "ndtr")
+    if ndtr is None:
+        from scipy.special import ndtr
+    return ndtr
 
 
 def _resolve_rng(seed) -> np.random.Generator:
@@ -81,7 +101,7 @@ class KnownCdf:
     def quantile(self, p):
         """Generalized inverse ``inf{t : p <= F(t)}`` for ``p`` in (0, 1)."""
         pa, scalar = _prep(p)
-        if np.any(pa <= 0.0) or np.any(pa >= 1.0):
+        if not ((pa > 0.0) & (pa < 1.0)).all():  # a NaN level fails too
             raise ValueError("quantile level must lie strictly inside (0, 1)")
         return _out(self._quantile(pa), scalar)
 
@@ -156,9 +176,7 @@ class Normal(KnownCdf):
             raise ValueError("normal requires sd > 0")
 
     def _cdf(self, x):
-        from scipy import special
-
-        return special.ndtr((x - self.mean) / self.sd)
+        return _ndtr()((x - self.mean) / self.sd)
 
     def _density(self, x):
         z = (x - self.mean) / self.sd

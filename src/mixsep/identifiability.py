@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._validate import check_count
 from .distributions import Binomial, Exponential, KnownCdf, Normal, Poisson, Tabulated
 
 __all__ = [
@@ -56,6 +57,7 @@ def essinf_density_ratio(signal_density, background_density, background_quantile
     the extreme tails the grid can overshoot; prefer the closed forms where
     they exist.
     """
+    check_count("grid", grid)
     if grid < 1000:
         raise ValueError("grid must be at least 1000")
     probs = np.arange(1, grid + 1, dtype=float) / (grid + 1)

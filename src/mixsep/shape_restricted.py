@@ -18,11 +18,9 @@ the rows of buffers it allocates once, a chunk of gammas per pass; here
 :func:`_isotonic` makes the one call of a single projection.
 
 The extension module is loaded from its file in scipy's ``optimize``
-directory rather than imported.  ``import scipy.optimize._pava_pybind``
-first runs the ``scipy.optimize`` package ``__init__``, which imports much
-of scipy (``scipy.special`` included) and takes longer than everything else
-a ``mixsep`` command imports; the compiled module itself needs none of it.
-The loaded module is not entered in ``sys.modules``.  If the file is not
+directory rather than imported (``_compiled.load_compiled``), because
+``import scipy.optimize._pava_pybind`` first runs the ``scipy.optimize``
+package ``__init__``, which imports much of scipy.  If the file is not
 where scipy's layout puts it, or cannot be loaded, the regular import is
 the fallback, which gives the same routine at the old import cost.  If
 that fails too, as it would after a rename of the private module, an
@@ -31,12 +29,11 @@ the routine's contract: the same fits, more slowly.
 """
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._compiled import load_compiled
 
 __all__ = [
     "isotonic_regression",
@@ -49,27 +46,10 @@ _CONCAVITY_TOL = 1e-12
 
 
 def _load_pava():
-    """scipy's compiled ``pava``, without importing ``scipy.optimize``.
-
-    ``find_spec`` locates scipy's package directory without importing
-    scipy.  pybind11 derives the module's init symbol from the last
-    component of its name, so the name ends in ``_pava_pybind``.
-    """
-    scipy = importlib.util.find_spec("scipy")
-    roots = scipy.submodule_search_locations if scipy is not None else None
-    for root in roots or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "optimize", "_pava_pybind" + suffix)
-            if not os.path.isfile(path):
-                continue
-            loader = importlib.machinery.ExtensionFileLoader(f"{__name__}._pava_pybind", path)
-            try:
-                module = importlib.util.module_from_spec(
-                    importlib.util.spec_from_loader(loader.name, loader))
-                loader.exec_module(module)
-            except (ImportError, OSError):
-                continue
-            return module.pava
+    """scipy's compiled ``pava``, without importing ``scipy.optimize``."""
+    pava = load_compiled("optimize", "_pava_pybind", "pava")
+    if pava is not None:
+        return pava
     try:
         from scipy.optimize._pava_pybind import pava
     except ImportError:

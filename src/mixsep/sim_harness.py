@@ -26,7 +26,7 @@ import numpy as np
 
 from ._validate import check_count
 from .confidence import lower_bound
-from .distributions import Beta, KnownCdf, Normal, Uniform
+from .distributions import Beta, KnownCdf, Normal, Uniform, _ndtr
 from .identifiability import essinf_density_ratio
 from .mixture_core import (
     NoElbowError,
@@ -253,7 +253,7 @@ def scenario_b_signal_density(m_star: float):
     A standard normal shifted by a random magnitude Uniform(m*, m*+1) with
     random sign; the convolution has the closed form below.
     """
-    from scipy.special import ndtr
+    ndtr = _ndtr()
 
     def density(x):
         x = np.asarray(x, dtype=float)

@@ -72,6 +72,19 @@ def test_quantile_rejects_boundary_probabilities():
             Normal().quantile(p)
 
 
+@pytest.mark.parametrize("d", [
+    Uniform(2, 5), Normal(-1, 0.7), StudentT(4), Beta(2.5, 1.5), Exponential(loc=-2.0, scale=3.0),
+    Poisson(3.0), Binomial(10, 0.4), Tabulated([0.0, 1.0, 2.0], [0.0, 0.5, 1.0]),
+    Tabulated([0.0, 1.0, 2.0], [0.2, 0.5, 1.0], mode="step"),
+], ids=lambda d: d.label())
+def test_quantile_rejects_nan_levels(d):
+    # A NaN level lies in no interval; it must not come back as a NaN quantile.
+    for p in (math.nan, [0.5, math.nan], [[0.25], [math.nan]]):
+        with pytest.raises(ValueError, match="strictly inside"):
+            d.quantile(p)
+    assert math.isfinite(d.quantile(0.5))
+
+
 def test_poisson_matches_reference_implementation():
     d = Poisson(3.5)
     ref = stats.poisson(3.5)

@@ -84,6 +84,19 @@ def test_essinf_requires_reasonable_grid():
                              Normal(0, 1).quantile, grid=10)
 
 
+def test_essinf_grid_must_be_an_integer():
+    # A float grid used to evaluate int(grid) quantiles at k / (grid + 1),
+    # and True is an int; both are rejected, as every count argument is.
+    args = (Normal(1, 2).density, Normal(0, 1).density, Normal(0, 1).quantile)
+    spec = MixtureSpec(0.25, Normal(1, 2), Normal(0, 1))
+    for bad in (1000.5, 2000.0, True):
+        with pytest.raises(ValueError, match="grid must be an integer"):
+            essinf_density_ratio(*args, grid=bad)
+        with pytest.raises(ValueError, match="grid must be an integer"):
+            alpha0_continuous(spec, grid=bad, closed_form=False)
+    assert essinf_density_ratio(*args, grid=np.int64(1000)) == essinf_density_ratio(*args, grid=1000)
+
+
 def test_essinf_matches_known_ratio():
     # N(2,1) vs N(0,1): ratio exp(2x - 2) has essinf 0 -> fully identifiable
     got = essinf_density_ratio(Normal(2, 1).density, Normal(0, 1).density,

@@ -9,9 +9,14 @@ import numpy as np
 import pytest
 
 import mixsep
+from mixsep._compiled import load_compiled
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 FIXTURES = README.parent / "fixtures"
+# scipy releases older than its _special_ufuncs module (the declared floor,
+# 1.12, among them) keep ndtr in a module that needs the scipy.special
+# package, so there the normal CDF takes the fallback import.
+NDTR_FROM_FILE = load_compiled("special", "_special_ufuncs", "ndtr") is not None
 
 
 def run_fresh(code, *args):
@@ -42,33 +47,53 @@ def loaded():
     return [m for m in ("scipy.optimize", "scipy.special", "scipy.stats") if m in sys.modules]
 
 print(loaded())
-data, table, velocities, out = sys.argv[1:]
+data, table, velocities, zscores, out = sys.argv[1:]
 assert main(["estimate", "--data", data, "--background", "uniform", "--output", out]) == 0
 print(loaded())
 assert main(["estimate", "--data", velocities, "--background", "table:" + table,
              "--output", out]) == 0
+print(loaded())
+assert main(["estimate", "--data", zscores, "--background", "normal:0,1", "--output", out]) == 0
 print(loaded())
 """
 
 
 def test_cold_start_loads_no_scipy_package(tmp_path):
     # The uniform and table backgrounds need neither scipy.special nor
-    # scipy.stats, and the compiled PAVA is loaded from its file, so neither
-    # the import nor a whole estimate runs the scipy.optimize package.
+    # scipy.stats, the normal CDF and the compiled PAVA are loaded from
+    # their files, so neither the import nor a whole estimate runs a scipy
+    # subpackage's __init__.
+    rng = np.random.default_rng(24)
+    zscores = tmp_path / "zscores.csv"
+    np.savetxt(zscores, np.where(rng.random(4000) < 0.1, rng.normal(2.0, 1.0, 4000),
+                                 rng.normal(size=4000)))
     out = run_fresh(COLD_START, FIXTURES / "setting_ii_n5000.csv",
                     FIXTURES / "velocity_background.csv", FIXTURES / "velocities_n1200.csv",
-                    tmp_path / "report.json")
-    assert out.splitlines() == ["[]"] * 3
+                    zscores, tmp_path / "report.json")
+    assert out.splitlines() == ["[]"] * 3 + ["[]" if NDTR_FROM_FILE else "['scipy.special']"]
 
 
-@pytest.mark.parametrize("break_lookup", ["no_scipy_spec", "no_suffix", "load_fails"])
-def test_pava_loader_falls_back_to_scipys_import(monkeypatch, break_lookup):
+_LOADERS = {
+    "pava": ("mixsep.shape_restricted", "_load_pava", "scipy.optimize._pava_pybind", "pava"),
+    "ndtr": ("mixsep.distributions", "_ndtr", "scipy.special", "ndtr"),
+}
+
+
+@pytest.mark.parametrize("break_lookup,target", [
+    pytest.param(b, t, id=b if t == "pava" else f"{b}-{t}")
+    for t in _LOADERS for b in ("no_scipy_spec", "no_suffix", "load_fails")])
+def test_pava_loader_falls_back_to_scipys_import(monkeypatch, break_lookup, target):
+    import importlib
     import importlib.machinery
     import importlib.util
 
-    from scipy.optimize import _pava_pybind
-
-    from mixsep.shape_restricted import _load_pava
+    owner, loader, module, name = _LOADERS[target]
+    load = getattr(importlib.import_module(owner), loader)
+    load = getattr(load, "__wrapped__", load)  # _ndtr's uncached lookup
+    # A marker in place of the regular import's object: a file lookup that
+    # still succeeded could not return it.
+    imported = object()
+    monkeypatch.setattr(importlib.import_module(module), name, imported)
 
     if break_lookup == "no_scipy_spec":
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
@@ -78,7 +103,7 @@ def test_pava_loader_falls_back_to_scipys_import(monkeypatch, break_lookup):
         def fail(self, spec):
             raise ImportError("cannot load")
         monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "create_module", fail)
-    assert _load_pava() is _pava_pybind.pava
+    assert load() is imported
 
 
 def test_pava_loader_falls_back_to_the_public_function(monkeypatch):
@@ -122,12 +147,17 @@ BIT_FOR_BIT = """
 import sys
 import numpy as np
 
+x = np.concatenate([np.linspace(-40.0, 40.0, 160001), [-np.inf, np.inf, np.nan, -0.0, 5e-324]])
+normals = [(0.0, 1.0), (1.5, 0.3), (-2.0, 7.0)]
 if sys.argv[1] == "mixsep_first":
     import mixsep
+    cdfs = [mixsep.Normal(mean, sd).cdf(x) for mean, sd in normals]
+    assert ("scipy.special" in sys.modules) != (sys.argv[2] == "True")
     import scipy.optimize
 else:
     import scipy.optimize
     import mixsep
+    cdfs = [mixsep.Normal(mean, sd).cdf(x) for mean, sd in normals]
 
 rng = np.random.default_rng(19)
 v = rng.normal(size=1000) + np.linspace(0.0, 3.0, 1000)
@@ -136,15 +166,21 @@ got = mixsep.isotonic_regression(v, w)
 want = scipy.optimize.isotonic_regression(v, weights=w).x
 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 assert np.unique(want).size < 1000  # some values were pooled
+
+from scipy import special
+for (mean, sd), cdf in zip(normals, cdfs):
+    want = special.ndtr((x - mean) / sd)
+    assert np.array_equal(cdf.view(np.uint64), want.view(np.uint64))
 print("ok")
 """
 
 
 @pytest.mark.parametrize("order", ["mixsep_first", "scipy_first"])
 def test_pava_from_file_matches_scipy_in_either_import_order(order):
-    # The file-loaded module and scipy's own import of it coexist in one
-    # process and give the same fit.
-    assert run_fresh(BIT_FOR_BIT, order) == "ok\n"
+    # The file-loaded modules and scipy's own imports of them coexist in one
+    # process and give the same fit and the same normal CDF, out to +-40,
+    # whether the CDF is first called before scipy.special is imported or after.
+    assert run_fresh(BIT_FOR_BIT, order, NDTR_FROM_FILE) == "ok\n"
 
 
 def test_removed_names_stay_removed():

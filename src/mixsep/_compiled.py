@@ -7,13 +7,47 @@ layer), each taking longer and holding more memory than everything else a
 ``mixsep`` command loads.  The compiled modules themselves need none of it,
 so :func:`load_compiled` loads one from its file in scipy's package
 directory.  Callers fall back to the regular import where it returns
-``None``, which gives the same object at the old import cost.
+``None``, which gives the same object at the old import cost.  The same
+directory holds ``version.py``, from which :func:`scipy_version` reads the
+version string that ``import scipy`` would give.
 """
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
 import os
+
+
+def _scipy_roots():
+    """scipy's package directories, found without importing scipy."""
+    scipy = importlib.util.find_spec("scipy")
+    roots = scipy.submodule_search_locations if scipy is not None else None
+    return roots or ()
+
+
+def scipy_version() -> str:
+    """``scipy.__version__``, read from ``scipy/version.py`` without importing scipy.
+
+    ``scipy/__init__`` takes its ``__version__`` from that module's
+    ``version``, so the string is the same.  Where the file is missing or
+    cannot be run, scipy is imported instead.
+    """
+    for root in _scipy_roots():
+        path = os.path.join(root, "version.py")
+        if not os.path.isfile(path):
+            continue
+        spec = importlib.util.spec_from_file_location(f"{__name__}.scipy_version", path)
+        module = importlib.util.module_from_spec(spec)
+        try:
+            spec.loader.exec_module(module)
+        except Exception:
+            continue
+        version = getattr(module, "version", None)
+        if isinstance(version, str):
+            return version
+    import scipy
+
+    return scipy.__version__
 
 
 def load_compiled(subpackage: str, module: str, attribute: str):
@@ -27,9 +61,7 @@ def load_compiled(subpackage: str, module: str, attribute: str):
     private name).  ``None`` when the file is not where scipy's layout puts
     it, cannot be loaded, or lacks ``attribute``.
     """
-    scipy = importlib.util.find_spec("scipy")
-    roots = scipy.submodule_search_locations if scipy is not None else None
-    for root in roots or ():
+    for root in _scipy_roots():
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
             path = os.path.join(root, subpackage, module + suffix)
             if not os.path.isfile(path):

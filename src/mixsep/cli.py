@@ -26,6 +26,7 @@ from io import StringIO
 import numpy as np
 
 from . import __version__
+from ._compiled import scipy_version
 from .confidence import homogeneity_test
 from .distributions import Beta, Exponential, KnownCdf, Tabulated, Uniform, parse_distribution
 from .identifiability import MixtureSpec, alpha0_auto, alpha0_continuous, alpha0_discrete
@@ -164,12 +165,10 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _provenance() -> dict:
-    import scipy
-
     return {
         "package": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": scipy_version(),
     }
 
 

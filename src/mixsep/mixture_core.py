@@ -49,6 +49,19 @@ _CHUNK_VALUES = 16_384
 # Threshold roots a criterion kernel keeps, oldest dropped first.
 _ROOT_MEMO = 16
 
+# Collapsed points below which a curve retires none: each look for settled
+# points, repacking and scatter costs a few numpy calls whatever the number
+# of points, which passes over so few points do not win back.
+_RETIRE_POINTS = 512
+# A curve retires its settled points once at least this share of the
+# active ones has settled, so that each repacking saves more than it costs.
+_SETTLE_SHARE = 1 / 8
+# Indices compacted per step of a retirement.
+_PACK_VALUES = 4_096
+# Active points from which squares are scattered one row at a time, which
+# costs less than one two-dimensional scatter of the chunk.
+_SCATTER_ROWWISE = 1_024
+
 
 class NoElbowError(ValueError):
     """Raised when a criterion curve is too flat to contain an elbow."""
@@ -204,6 +217,21 @@ class _Criterion:
     step of :meth:`root`, whose pass also returns the slope, hand the
     kernel a float instead, which it projects on 1-D views of the first
     rows, without the column's broadcasting.
+
+    A curve of ``_RETIRE_POINTS`` collapsed points or more projects every
+    point in its first chunk only.  Blocks only split as gamma rises, so a
+    point that is a block of its own with its value ``D + gamma f`` inside
+    ``[0, gamma]`` stays so at every later gamma, and its residual stays
+    exactly 0.0 (:meth:`_settled`).  After each chunk the curve retires such
+    points, and later chunks project only the points still active, packed
+    into the first entries of the buffers (:meth:`_retire`,
+    :meth:`_project_packed`); their squares are scattered into full-length
+    rows that hold 0.0 at every retired point, so that each total is the one
+    a full projection gives, bit for bit.
+    The buffers of that bookkeeping, a few arrays of length m, are
+    allocated by a curve's first look for settled points and kept or
+    released with the others.  :meth:`__call__`, :meth:`fit` and the Newton
+    steps project every point.
     """
 
     def __init__(self, sample: SortedSample, background: KnownCdf):
@@ -211,6 +239,8 @@ class _Criterion:
         fb = np.asarray(background.cdf(values), dtype=float)
         if not np.all(np.isfinite(fb)):
             raise ValueError("values must be finite")
+        if not ((fb >= 0.0) & (fb <= 1.0)).all():
+            raise ValueError("background CDF values must lie in [0, 1]")
         new_run = (values[1:] != values[:-1]) | (ecdf[1:] != ecdf[:-1])
         if new_run.all():
             self._weights = None
@@ -243,6 +273,15 @@ class _Criterion:
         # 1-D views of the first rows, for a one-gamma pass given as a float.
         self._row = (self._y[0], self._fit[0], self._w[0], self._d[0], self._f[0],
                      None if self._weights is None else self._weights[0])
+        # The buffers of a curve's retirement, allocated when it first
+        # looks for settled points: the active points' D, f and weights,
+        # packed, and their indices.
+        self._packed = self._index = None
+
+    def _allocate_retirement(self):
+        m = self._f.size
+        self._packed = [np.empty(m) for _ in range(2 if self._weights is None else 3)]
+        self._index = np.empty(m, dtype=np.intp)
 
     def __enter__(self) -> "_Criterion":
         self._lock.acquire()
@@ -257,6 +296,7 @@ class _Criterion:
     def __exit__(self, *exc) -> None:
         if self._y.size > _CHUNK_VALUES:
             self._y = self._fit = self._w = self._r = self._row = None
+            self._packed = self._index = None
         self._lock.release()
 
     def _project(self, g, mark_top: bool = False) -> np.ndarray:
@@ -398,11 +438,166 @@ class _Criterion:
         Each value is the weighted root mean square, over the n sample
         points, of the fit's residual; at ``gamma = 0`` the fit is clipped
         to 0 and that is the distance from ``F_n`` to ``F_b``.
+
+        On an ascending grid, the points that can carry no residual at any
+        later gamma retire after a chunk (:meth:`_settled`), and later
+        chunks project only the active ones, packed (:meth:`_project_packed`).
+        Their squares go to full-length rows of ``self._y`` that hold 0.0
+        at every retired point, so each total is taken over the same row as
+        before and every value is the one :meth:`__call__` gives, bit for
+        bit.  Projecting stops once no point is active.
         """
         rows = len(self._y)
-        sums = np.concatenate([self._sums(gammas[start:start + rows, None])
-                               for start in range(0, gammas.size, rows)])
+        sums = np.zeros(gammas.size)
+        guard = self._guard(gammas)
+        # The indices of the points that may still carry a residual, or
+        # None while every point may.
+        active = None
+        for start in range(0, gammas.size, rows):
+            g = gammas[start:start + rows, None]
+            k = len(g)
+            if active is None:
+                fit = self._project(g)
+                y = self._y[:k]
+            elif active.size:
+                fit, y = self._project_packed(g, active.size)
+            else:
+                # Every residual left is exactly 0.0, and so is each total.
+                break
+            settled = None
+            if guard is not None and start + k < gammas.size:
+                settled = self._settled(fit[-1], y[-1], guard, active)
+            fit -= y
+            fit *= fit
+            if active is None:
+                squares = fit
+            elif active.size < _SCATTER_ROWWISE:
+                squares = self._y[:k]
+                squares[:, active] = fit
+            else:
+                squares = self._y[:k]
+                for row, part in zip(squares, fit):
+                    row[active] = part
+            sums[start:start + k] = self._totals(squares)
+            if settled is not None:
+                # The chunk's last row of squares is 0.0 at every retired
+                # point; every row of squares starts from it.
+                if active is None:
+                    np.copyto(self._y, squares[-1])
+                else:
+                    np.copyto(self._y[:-1], squares[-1])
+                active = self._retire(settled, active)
         return np.sqrt(sums / self._n)
+
+    def _project_packed(self, g: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_project` of a column over the ``a`` packed active points.
+
+        Returns the clipped fit and ``D + g * f``, as ``len(g)`` rows of
+        ``a`` values at the start of the fit and weights buffers, so that the
+        rows of ``self._y`` stay free for full-length squares.  ``D + g * f`` is
+        computed twice, before and after the routine pools the weights, by
+        the same operations as in :meth:`_project`, so it is the same bit for
+        bit.
+        """
+        k = len(g)
+        # k contiguous rows of a values at the start of each buffer, which
+        # numpy passes over faster than the first a columns of k rows.
+        fit, w = (buf.reshape(-1)[:k * a].reshape(k, a) for buf in (self._fit, self._w))
+        d, f, *weights = (row[None, :a] for row in self._packed)
+        np.multiply(g, f, out=fit)
+        fit += d
+        if weights:
+            np.copyto(w, weights[0])
+        else:
+            w.fill(1.0)
+        for row, row_w in zip(fit, w):
+            _pava(row, row_w, self._r)
+        np.multiply(g, f, out=w)
+        w += d
+        np.maximum(fit, 0.0, out=fit)
+        return np.minimum(fit, g, out=fit), w
+
+    def _guard(self, gammas: np.ndarray) -> tuple[int, int] | None:
+        """The collapsed points that must not retire on ``gammas``, or ``None`` if none may.
+
+        No point retires when there are fewer than ``_RETIRE_POINTS``
+        collapsed points, on a grid of one chunk, which has no later gamma,
+        on a grid that does not ascend within [0, 1], or against a
+        background whose values at the sorted points ever fall: the argument
+        of :meth:`_settled` needs the last three.
+
+        A retired point's ``y = D + gamma f`` must stay inside ``[0,
+        gamma]`` in floating point too.  It cannot fall below 0, since the
+        rounded ``gamma * f + D`` is non-decreasing in gamma for ``f >= 0``,
+        and it cannot pass gamma where ``D <= 0`` or ``f == 1``.  Elsewhere
+        the exact margin to gamma grows by ``1 - f`` times the grid step,
+        which outweighs the rounding of ``y`` unless ``1 - f`` is below
+        ``2**-50`` over the step.  ``f`` is non-decreasing, so the points
+        left out form the half-open range of indices returned.
+        """
+        f = self._f[0]
+        if (f.size < _RETIRE_POINTS or gammas.size <= len(self._y)
+                or not (f[1:] >= f[:-1]).all()):
+            return None
+        step = float(np.min(gammas[1:] - gammas[:-1]))
+        if not (step > 0.0 and gammas[0] >= 0.0 and gammas[-1] <= 1.0):
+            return None
+        near = 1.0 - 2.0 ** -50 / step
+        return int(np.searchsorted(f, near, side="right")), int(np.searchsorted(f, 1.0))
+
+    def _settled(self, fit: np.ndarray, y: np.ndarray, guard: tuple[int, int],
+                 active: np.ndarray | None) -> np.ndarray | None:
+        """Flags of the active points that can carry no residual at any later gamma.
+
+        ``fit`` and ``y`` are the clipped fit and ``D + gamma f`` of the
+        chunk's last row.  A point settles when its fit is ``y`` itself and
+        differs from both neighbours' fits: the routine leaves a one-point
+        block's value as it was given, and adjacent blocks strictly
+        increase, so the point is a block of its own, inside ``[0, gamma]``.
+        Blocks only split as gamma rises, ``D + gamma f`` only rises and
+        ``D - gamma (1 - f)`` only falls, so such a point stays a one-point
+        block inside ``[0, gamma]`` and its residual stays exactly 0.0.
+        The projection of the other points is then the same without it.
+        Returns ``None`` while fewer than ``_SETTLE_SHARE`` of them settle.
+        """
+        if self._index is None:
+            self._allocate_retirement()
+        a = fit.size
+        # Two rows of flags in the block bounds' buffer, which no projection
+        # uses between this check and the retirement.
+        flags, apart = self._r.view(bool)[:2 * a].reshape(2, a)
+        apart = apart[:-1]
+        np.equal(fit, y, out=flags)
+        np.not_equal(fit[1:], fit[:-1], out=apart)
+        flags[1:] &= apart
+        flags[:-1] &= apart
+        lo, hi = guard if active is None else np.searchsorted(active, guard)
+        flags[lo:hi] = False
+        return flags if np.count_nonzero(flags) >= max(1.0, _SETTLE_SHARE * a) else None
+
+    def _retire(self, settled: np.ndarray, active: np.ndarray | None) -> np.ndarray:
+        """Drop the ``settled`` points from the ``active`` ones and return the indices kept.
+
+        The indices are compacted in place, a block of ``_PACK_VALUES`` at a
+        time, so that no copy of the sample's length is made, and the kept
+        points' ``D``, ``f`` and weights are packed from the full rows.
+        """
+        keep = np.logical_not(settled, out=settled)
+        kept = 0
+        for start in range(0, keep.size, _PACK_VALUES):
+            part = keep[start:start + _PACK_VALUES]
+            if active is None:
+                taken = np.flatnonzero(part)
+                taken += start
+            else:
+                # A copy, read before any of the block is overwritten.
+                taken = active[start:start + _PACK_VALUES][part]
+            self._index[kept:kept + taken.size] = taken
+            kept += taken.size
+        active = self._index[:kept]
+        for row, full in zip(self._packed, (self._d, self._f, self._weights)):
+            np.take(full[0], active, out=row[:kept], mode="clip")
+        return active
 
     def __call__(self, gamma: float) -> float:
         self._gamma[0, 0] = gamma
@@ -470,12 +665,15 @@ def criterion_curve(sample: SortedSample, background: KnownCdf, grid_size: int =
     """Criterion evaluated on the uniform grid ``k / grid_size``, k = 1..grid_size.
 
     The background CDF is evaluated and tied points are collapsed once per
-    sample and background, as in :func:`criterion`: each grid point costs
-    one isotonic projection over the distinct (value, ecdf) pairs,
-    weighted by their counts.  The grid is evaluated a chunk of gammas at
-    a time, so each numpy operation around the projections covers many
-    grid points when the sample is small; the values are those
-    :func:`criterion` returns, bit for bit.
+    sample and background, as in :func:`criterion`, and the grid is
+    evaluated a chunk of gammas at a time, so each numpy operation around
+    the projections covers many grid points when the sample is small.  The
+    first chunk projects every distinct (value, ecdf) pair, weighted by
+    its count.  A pair whose isotonic block is itself alone and inside
+    ``[0, gamma]`` carries no residual, and keeps carrying none as gamma
+    rises, because blocks only split; after each chunk such pairs retire,
+    and later chunks project only the pairs left, none once every pair has
+    retired.  The values are those :func:`criterion` returns, bit for bit.
     """
     check_count("grid_size", grid_size)
     if grid_size < 10:

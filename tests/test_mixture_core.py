@@ -14,7 +14,7 @@ from scipy.optimize import isotonic_regression as scipy_isotonic_regression
 
 import mixsep.mixture_core as mixture_core
 from mixsep.confidence import critical_value, homogeneity_test, lower_bound
-from mixsep.distributions import Beta, Normal, Tabulated, Uniform
+from mixsep.distributions import Beta, KnownCdf, Normal, Tabulated, Uniform
 from mixsep.mixture_core import (
     CriterionCurve,
     NoElbowError,
@@ -302,10 +302,111 @@ def test_curve_allocates_no_row_or_chunk_sized_array(monkeypatch, decimals):
     assert peak < m * 8
 
 
+_RETIREMENT_BACKGROUNDS = {
+    "uniform": UNIF,
+    "normal": Normal(0.0, 1.0),
+    "table": Tabulated(_TABLE_XS, Normal(0.0, 1.0).cdf(_TABLE_XS) / Normal(0.0, 1.0).cdf(4.0)),
+}
+
+
+def _retirement_sample(seed, n, kind, background):
+    """P-values for the uniform background, N(0.5, 1.2) draws otherwise:
+    continuous, rounded to 1-3 decimals (so that weights appear) or all equal."""
+    rng = stream(seed, 65)
+    if background == "uniform":
+        x = np.where(rng.random(n) < 0.2, rng.beta(1.0, 10.0, n), rng.random(n))
+    else:
+        x = rng.normal(0.5, 1.2, n)
+    if kind == "equal":
+        x = np.full(n, x[0])
+    elif kind != "continuous":
+        x = np.round(x, int(kind[-1]))
+    return SortedSample.from_data(x)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(3, 3000),
+       kind=st.sampled_from(["continuous", "rounded_1", "rounded_2", "rounded_3", "equal"]),
+       grid=st.integers(10, 400), background=st.sampled_from(sorted(_RETIREMENT_BACKGROUNDS)),
+       chunk_values=st.sampled_from([mixture_core._CHUNK_VALUES, 2_048, 256]))
+def test_retired_points_stay_settled_and_the_curve_is_unchanged(seed, n, kind, grid, background,
+                                                                 chunk_values):
+    # A smaller chunk (fewer rows per pass) and no floor on the number of
+    # points give small samples several chunks, so that they retire points
+    # too.
+    bg = _RETIREMENT_BACKGROUNDS[background]
+    s = _retirement_sample(seed, n, kind, background)
+    sizes, retirements = [], []
+    raw_pava, raw_retire = mixture_core._pava, mixture_core._Criterion._retire
+
+    def counting(x, w, r):
+        sizes.append(len(x))
+        return raw_pava(x, w, r)
+
+    def recording(self, settled, active):
+        kept = raw_retire(self, settled, active)
+        # Retired after the projection of gamma number len(sizes).
+        retirements.append((len(sizes), kept.copy()))
+        return kept
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mixture_core, "_CHUNK_VALUES", chunk_values)
+        mp.setattr(mixture_core, "_RETIRE_POINTS", 0)
+        mp.setattr(mixture_core, "_pava", counting)
+        mp.setattr(mixture_core._Criterion, "_retire", recording)
+        curve = criterion_curve(s, bg, grid)
+        gammas = curve.gammas.tolist()
+        np.testing.assert_array_equal(curve.values, [criterion(s, bg, g) for g in gammas])
+    crit = mixture_core._Criterion(s, bg)
+    np.testing.assert_array_equal(curve.values, [per_gamma_criterion(crit, g) for g in gammas])
+
+    # Each retired point is a one-point block of scipy's public fit, inside
+    # [0, gamma], at every later grid gamma.
+    m = crit.values.size
+    weights = None if crit._weights is None else crit._weights.ravel()
+    retired = np.zeros(m, dtype=bool)
+    for j, g in enumerate(gammas):
+        while retirements and retirements[0][0] <= j:
+            retired[:] = True
+            retired[retirements.pop(0)[1]] = False
+        if not retired.any():
+            continue
+        y = crit._f.ravel() * g + crit._d.ravel()
+        blocks = scipy_isotonic_regression(y, weights=weights).blocks
+        single = np.zeros(m, dtype=bool)
+        single[blocks[:-1][np.diff(blocks) == 1]] = True
+        assert single[retired].all()
+        assert ((y[retired] >= 0.0) & (y[retired] <= g)).all()
+
+
+def test_curve_retires_points_on_the_cases(monkeypatch):
+    # The property test above would pass vacuously if nothing retired.
+    monkeypatch.setattr(mixture_core, "_RETIRE_POINTS", 0)
+    for make, background in _CASES.values():
+        s = make()
+        retired = []
+        raw = mixture_core._Criterion._retire
+
+        def recording(self, settled, active):
+            kept = raw(self, settled, active)
+            retired.append(settled.size - kept.size)
+            return kept
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mixture_core._Criterion, "_retire", recording)
+            criterion_curve(s, background, 200)
+        assert sum(retired) > 0
+
+
 def test_kernel_pools_each_buffer_row_in_place(monkeypatch):
     # the fit is read from the buffer, so the compiled routine must pool the
     # row it is handed, not a converted copy
     s = SortedSample.from_data(np.round(beta_uniform_sample(500, 0.2, seed=15).values, 2))
+    # Chunks of 20 rows and no floor on the number of points, so that this
+    # small curve retires points over several chunks and projects packed
+    # rows too.
+    monkeypatch.setattr(mixture_core, "_CHUNK_VALUES", 2_048)
+    monkeypatch.setattr(mixture_core, "_RETIRE_POINTS", 0)
     crit = mixture_core._Criterion(s, UNIF)
     calls = []
     raw = mixture_core._pava
@@ -318,7 +419,11 @@ def test_kernel_pools_each_buffer_row_in_place(monkeypatch):
     monkeypatch.setattr(mixture_core, "_pava", recording)
     crit.curve(np.arange(1, 201) / 200)
     fit = crit.fit(0.3)
-    assert len(calls) == 201
+    # At most one projection per grid gamma, fewer once every point has
+    # retired, and one more for the fit; each pools a row of the buffer,
+    # full or packed.
+    assert 1 < len(calls) <= 201
+    assert min(row.size for row, _ in calls) < crit.values.size == calls[-1][0].size
     for row, returned in calls:
         assert np.shares_memory(row, crit._fit)
         assert np.shares_memory(returned, row)
@@ -378,16 +483,48 @@ def test_non_finite_background_raises_at_every_gamma():
             call()
 
 
+class _OffUnitCdf(KnownCdf):
+    """The uniform CDF on [0, 1] scaled by ``factor`` and shifted by
+    ``shift``, so that it leaves [0, 1]."""
+
+    def __init__(self, factor, shift):
+        self.factor, self.shift = factor, shift
+
+    def _cdf(self, x):
+        return np.clip(x, 0.0, 1.0) * self.factor + self.shift
+
+
+@pytest.mark.parametrize("background", [_OffUnitCdf(1.2, 0.0), _OffUnitCdf(1.0, -0.1)],
+                         ids=["above_1", "below_0"])
+def test_background_cdf_outside_unit_interval_raises(background):
+    s = beta_uniform_sample(300, 0.2, seed=7)
+    assert not ((background.cdf(s.values) >= 0.0) & (background.cdf(s.values) <= 1.0)).all()
+    with pytest.raises(ValueError, match=r"background CDF values must lie in \[0, 1\]"):
+        criterion_curve(s, background, 200)
+    with pytest.raises(ValueError, match=r"background CDF values must lie in \[0, 1\]"):
+        estimate_alpha_cn(s, background, default_cn(s.n))
+
+
 @pytest.mark.parametrize("decimals", [None, 3, 2])
 def test_curve_projects_once_per_gamma_over_distinct_values(projections, decimals):
+    # The first projection covers the k distinct values; later ones only
+    # the points not yet retired, so sizes never grow, no gamma is projected
+    # twice, and the sweep projects fewer points than 200 full projections.
+    # Below _RETIRE_POINTS distinct values (2 decimals) no point retires.
     x = beta_uniform_sample(2000, 0.2, seed=9).values
     if decimals is not None:
         x = np.round(x, decimals)
     s = SortedSample.from_data(x)
     k = np.unique(s.values).size
     criterion_curve(s, UNIF, grid_size=200)
-    assert len(projections) == 200
-    assert set(projections) == {k}
+    assert projections[0] == k
+    assert len(projections) <= 200
+    assert all(later <= earlier for earlier, later in zip(projections, projections[1:]))
+    if k >= mixture_core._RETIRE_POINTS:
+        assert sum(projections) < 200 * k
+    else:
+        assert projections == [k] * 200
+    assert (k >= mixture_core._RETIRE_POINTS) == (decimals != 2)
     if decimals is not None:
         assert k < s.n
 

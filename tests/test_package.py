@@ -73,6 +73,48 @@ def test_cold_start_loads_no_scipy_package(tmp_path):
     assert out.splitlines() == ["[]"] * 3 + ["[]" if NDTR_FROM_FILE else "['scipy.special']"]
 
 
+UNIFORM_CLI = """
+import sys
+from mixsep.cli import main
+
+data, out, prefix = sys.argv[1:]
+assert main(["estimate", "--data", data, "--background", "uniform", "--output", out]) == 0
+print("scipy loaded:", "scipy" in sys.modules)
+assert main(["signal", "--data", data, "--background", "uniform", "--out-prefix", prefix]) == 0
+print("scipy loaded:", "scipy" in sys.modules)
+"""
+
+
+def test_uniform_cli_runs_do_not_import_scipy(tmp_path):
+    # The provenance block reads scipy's version from scipy/version.py, so
+    # a uniform estimate or signal run never imports the scipy package.
+    out = run_fresh(UNIFORM_CLI, FIXTURES / "setting_ii_n5000.csv", tmp_path / "report.json",
+                    tmp_path / "signal")
+    lines = [line for line in out.splitlines() if line.startswith("scipy loaded:")]
+    assert lines == ["scipy loaded: False"] * 2
+    import scipy
+
+    report = (tmp_path / "report.json").read_text(encoding="utf-8")
+    assert f'"scipy": "{scipy.__version__}"' in report
+
+
+def test_scipy_version_falls_back_to_importing_scipy(monkeypatch, tmp_path):
+    import scipy
+
+    from mixsep import _compiled
+
+    assert _compiled.scipy_version() == scipy.__version__
+    # A marker in place of the imported version: the file route cannot return it.
+    monkeypatch.setattr(scipy, "__version__", "imported")
+    assert _compiled.scipy_version() != "imported"
+    monkeypatch.setattr(_compiled, "_scipy_roots", lambda: [str(tmp_path)])
+    assert _compiled.scipy_version() == "imported"  # no version.py
+    (tmp_path / "version.py").write_text("raise ImportError('cannot run')\n", encoding="utf-8")
+    assert _compiled.scipy_version() == "imported"
+    (tmp_path / "version.py").write_text("version = 'from the file'\n", encoding="utf-8")
+    assert _compiled.scipy_version() == "from the file"
+
+
 _LOADERS = {
     "pava": ("mixsep.shape_restricted", "_load_pava", "scipy.optimize._pava_pybind", "pava"),
     "ndtr": ("mixsep.distributions", "_ndtr", "scipy.special", "ndtr"),

@@ -51,16 +51,18 @@ _ROOT_MEMO = 16
 
 # Collapsed points below which a curve retires none: each look for settled
 # points, repacking and scatter costs a few numpy calls whatever the number
-# of points, which passes over so few points do not win back.
-_RETIRE_POINTS = 512
+# of points.  Timed against full projections on a grid of 200, retirement
+# lost 2-5% of a curve at 450-500 points, was level at 550-700 and won from
+# 800 on.
+_RETIRE_POINTS = 600
 # A curve retires its settled points once at least this share of the
-# active ones has settled, so that each repacking saves more than it costs.
+# active ones has settled, so that each repacking saves more than it costs:
+# on the same timings, retiring as soon as any point settled, or waiting
+# for a quarter or half of them, was slower than this share at 600-5 000
+# points.
 _SETTLE_SHARE = 1 / 8
 # Indices compacted per step of a retirement.
 _PACK_VALUES = 4_096
-# Active points from which squares are scattered one row at a time, which
-# costs less than one two-dimensional scatter of the chunk.
-_SCATTER_ROWWISE = 1_024
 
 
 class NoElbowError(ValueError):
@@ -224,13 +226,13 @@ class _Criterion:
     ``[0, gamma]`` stays so at every later gamma, and its residual stays
     exactly 0.0 (:meth:`_settled`).  After each chunk the curve retires such
     points, and later chunks project only the points still active, packed
-    into the first entries of the buffers (:meth:`_retire`,
-    :meth:`_project_packed`); their squares are scattered into full-length
-    rows that hold 0.0 at every retired point, so that each total is the one
-    a full projection gives, bit for bit.
-    The buffers of that bookkeeping, a few arrays of length m, are
-    allocated by a curve's first look for settled points and kept or
-    released with the others.  :meth:`__call__`, :meth:`fit` and the Newton
+    into the first entries of the buffers (:meth:`_retire`); their squares
+    are scattered into full-length rows that hold 0.0 at every retired
+    point, so that each total is the one a full projection gives, bit for
+    bit.  The packed copies of ``D``, ``f`` and the weights and the active
+    indices, a few arrays of length m, are allocated by a curve's first
+    look for settled points and released when its ``with`` block ends.
+    :meth:`__call__`, :meth:`fit` and the Newton
     steps project every point.
     """
 
@@ -294,32 +296,45 @@ class _Criterion:
         return self
 
     def __exit__(self, *exc) -> None:
+        # A curve's retirement buffers serve that curve only.
+        self._packed = self._index = None
         if self._y.size > _CHUNK_VALUES:
             self._y = self._fit = self._w = self._r = self._row = None
-            self._packed = self._index = None
         self._lock.release()
 
-    def _project(self, g, mark_top: bool = False) -> np.ndarray:
+    def _project(self, g, mark_top: bool = False,
+                 active: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """``clip(iso(D + g * f), 0, g)`` for a float ``g`` or a column of at most one chunk.
 
-        Returns one row per gamma in the fit buffer, which the next call
-        overwrites, and leaves ``D + g * f`` in the same rows of ``self._y``;
-        for a float ``g`` the row is 1-D.  With ``mark_top``, the same rows
-        of the weights buffer, which the routine has pooled and no longer
-        needs, end as 1.0 where the unclipped fit exceeds gamma (the points
-        clipped at the top) and 0.0 elsewhere.
+        Returns the fit, one row per gamma in the fit buffer, which the next
+        call overwrites, and ``D + g * f`` in the same rows of ``self._y``;
+        for a float ``g`` the rows are 1-D.  Given the indices of the
+        ``active`` points of a curve, packed by :meth:`_retire`, the column
+        is projected over those points only: the rows are then ``len(g)``
+        contiguous rows of ``active.size`` values at the start of the fit
+        buffer and of the weights buffer, which holds ``D + g * f``, so that
+        the rows of ``self._y`` stay free for full-length squares.  With
+        ``mark_top``, the same rows of the weights buffer, which the routine
+        has pooled and no longer needs, end as 1.0 where the unclipped fit
+        exceeds gamma (the points clipped at the top) and 0.0 elsewhere.
         """
         if isinstance(g, float):
             y, fit, w, d, f, weights = self._row
-            rows = ((fit, w),)
-        else:
+        elif active is None:
             k = len(g)
             y, fit, w = self._y[:k], self._fit[:k], self._w[:k]
             d, f, weights = self._d, self._f, self._weights
-            rows = zip(fit, w)
-        np.multiply(g, f, out=y)
-        y += d
-        np.copyto(fit, y)
+        else:
+            k, a = len(g), active.size
+            # k contiguous rows of a values at the start of each buffer,
+            # which numpy passes over faster than the first a columns of k
+            # rows.
+            fit, w = (buf.reshape(-1)[:k * a].reshape(k, a) for buf in (self._fit, self._w))
+            y = w
+            d, f, *weights = (row[None, :a] for row in self._packed)
+            weights = weights[0] if weights else None
+        np.multiply(g, f, out=fit)
+        fit += d
         if weights is None:
             w.fill(1.0)
         else:
@@ -327,18 +342,22 @@ class _Criterion:
         # Each row is a C-contiguous float64 view, which pybind11 hands to
         # the routine as is, so it pools the row (and its weights) in place.
         # The routine writes r[0] and each r[b + 1] before reading them.
-        for row, row_w in rows:
+        for row, row_w in zip(fit.reshape(-1, fit.shape[-1]), w.reshape(-1, w.shape[-1])):
             _pava(row, row_w, self._r)
+        # D + g * f again, by the same operations and so bit for bit, once
+        # the weights are pooled: y may be their rows.
+        np.multiply(g, f, out=y)
+        y += d
         if mark_top:
             # Read off the unclipped fit: at gamma = 0 every point clips to
             # 0, so the clipped fit cannot tell the two ends apart.
             np.greater(fit, g, out=w)
         if fit.ndim == 1 or len(fit) == 1:
-            return fit.clip(0.0, g, out=fit)
+            return fit.clip(0.0, g, out=fit), y
         # Two ufuncs cost less than clip against a column of gammas.  Unlike
         # clip they turn a fitted -0.0 into 0.0, which no square can tell.
         np.maximum(fit, 0.0, out=fit)
-        return np.minimum(fit, g, out=fit)
+        return np.minimum(fit, g, out=fit), y
 
     def _totals(self, sq: np.ndarray) -> np.ndarray:
         """The weighted row totals of ``sq``, one chunk of squared residuals."""
@@ -349,8 +368,8 @@ class _Criterion:
 
     def _sums(self, g: np.ndarray) -> np.ndarray:
         """The fit's weighted residual sum of squares for a column ``g`` of at most one chunk."""
-        r = self._project(g)
-        r -= self._y[:len(r)]
+        r, y = self._project(g)
+        r -= y
         r *= r
         return self._totals(r)
 
@@ -363,8 +382,8 @@ class _Criterion:
         weighted residuals sum to zero, and a block clipped at the top moves
         with gamma.  ``S`` is the total :meth:`_sums` gives, bit for bit.
         """
-        y, _, top, _, f, weights = self._row
-        fit = self._project(gamma, mark_top=True)
+        _, _, top, _, f, weights = self._row
+        fit, y = self._project(gamma, mark_top=True)
         r = np.subtract(fit, y, out=y)
         wr = r if weights is None else np.multiply(r, weights, out=fit)
         slope = 2.0 * (float(wr @ top) - float(wr @ f))
@@ -430,7 +449,7 @@ class _Criterion:
         Returns ``clip(iso(D + gamma * f), 0, gamma)`` in a row of the fit
         buffer, which the next call overwrites.
         """
-        return self._project(float(gamma))
+        return self._project(float(gamma))[0]
 
     def curve(self, gammas: np.ndarray) -> np.ndarray:
         """The criterion at each of ``gammas``, one chunk of rows per pass.
@@ -441,7 +460,7 @@ class _Criterion:
 
         On an ascending grid, the points that can carry no residual at any
         later gamma retire after a chunk (:meth:`_settled`), and later
-        chunks project only the active ones, packed (:meth:`_project_packed`).
+        chunks project only the active ones, packed (:meth:`_retire`).
         Their squares go to full-length rows of ``self._y`` that hold 0.0
         at every retired point, so each total is taken over the same row as
         before and every value is the one :meth:`__call__` gives, bit for
@@ -456,14 +475,10 @@ class _Criterion:
         for start in range(0, gammas.size, rows):
             g = gammas[start:start + rows, None]
             k = len(g)
-            if active is None:
-                fit = self._project(g)
-                y = self._y[:k]
-            elif active.size:
-                fit, y = self._project_packed(g, active.size)
-            else:
+            if active is not None and not active.size:
                 # Every residual left is exactly 0.0, and so is each total.
                 break
+            fit, y = self._project(g, active=active)
             settled = None
             if guard is not None and start + k < gammas.size:
                 settled = self._settled(fit[-1], y[-1], guard, active)
@@ -471,9 +486,6 @@ class _Criterion:
             fit *= fit
             if active is None:
                 squares = fit
-            elif active.size < _SCATTER_ROWWISE:
-                squares = self._y[:k]
-                squares[:, active] = fit
             else:
                 squares = self._y[:k]
                 for row, part in zip(squares, fit):
@@ -488,34 +500,6 @@ class _Criterion:
                     np.copyto(self._y[:-1], squares[-1])
                 active = self._retire(settled, active)
         return np.sqrt(sums / self._n)
-
-    def _project_packed(self, g: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_project` of a column over the ``a`` packed active points.
-
-        Returns the clipped fit and ``D + g * f``, as ``len(g)`` rows of
-        ``a`` values at the start of the fit and weights buffers, so that the
-        rows of ``self._y`` stay free for full-length squares.  ``D + g * f`` is
-        computed twice, before and after the routine pools the weights, by
-        the same operations as in :meth:`_project`, so it is the same bit for
-        bit.
-        """
-        k = len(g)
-        # k contiguous rows of a values at the start of each buffer, which
-        # numpy passes over faster than the first a columns of k rows.
-        fit, w = (buf.reshape(-1)[:k * a].reshape(k, a) for buf in (self._fit, self._w))
-        d, f, *weights = (row[None, :a] for row in self._packed)
-        np.multiply(g, f, out=fit)
-        fit += d
-        if weights:
-            np.copyto(w, weights[0])
-        else:
-            w.fill(1.0)
-        for row, row_w in zip(fit, w):
-            _pava(row, row_w, self._r)
-        np.multiply(g, f, out=w)
-        w += d
-        np.maximum(fit, 0.0, out=fit)
-        return np.minimum(fit, g, out=fit), w
 
     def _guard(self, gammas: np.ndarray) -> tuple[int, int] | None:
         """The collapsed points that must not retire on ``gammas``, or ``None`` if none may.

@@ -506,19 +506,32 @@ def test_background_cdf_outside_unit_interval_raises(background):
 
 
 @pytest.mark.parametrize("decimals", [None, 3, 2])
-def test_curve_projects_once_per_gamma_over_distinct_values(projections, decimals):
+def test_curve_projects_once_per_gamma_over_distinct_values(projections, monkeypatch, decimals):
     # The first projection covers the k distinct values; later ones only
-    # the points not yet retired, so sizes never grow, no gamma is projected
-    # twice, and the sweep projects fewer points than 200 full projections.
-    # Below _RETIRE_POINTS distinct values (2 decimals) no point retires.
+    # the points not yet retired, so sizes never grow, and the sweep
+    # projects fewer points than 200 full projections.  The gammas
+    # projected are the grid's, each once and in order, up to the chunk
+    # after which no point is active; the curve is 0.0 beyond it.  Below
+    # _RETIRE_POINTS distinct values (2 decimals) no point retires.
+    projected = []
+    raw = mixture_core._Criterion._project
+
+    def recording(self, g, mark_top=False, active=None):
+        projected.extend(np.ravel(g).tolist())
+        return raw(self, g, mark_top, active)
+
+    monkeypatch.setattr(mixture_core._Criterion, "_project", recording)
     x = beta_uniform_sample(2000, 0.2, seed=9).values
     if decimals is not None:
         x = np.round(x, decimals)
     s = SortedSample.from_data(x)
     k = np.unique(s.values).size
-    criterion_curve(s, UNIF, grid_size=200)
+    curve = criterion_curve(s, UNIF, grid_size=200)
+    assert projected == curve.gammas[:len(projected)].tolist()
+    assert (curve.values[len(projected):] == 0.0).all()
+    # One row pooled per gamma projected.
+    assert len(projections) == len(projected)
     assert projections[0] == k
-    assert len(projections) <= 200
     assert all(later <= earlier for earlier, later in zip(projections, projections[1:]))
     if k >= mixture_core._RETIRE_POINTS:
         assert sum(projections) < 200 * k

@@ -320,10 +320,12 @@ class _Criterion:
         """
         if isinstance(g, float):
             y, fit, w, d, f, weights = self._row
+            rows = ((fit, w),)
         elif active is None:
             k = len(g)
             y, fit, w = self._y[:k], self._fit[:k], self._w[:k]
             d, f, weights = self._d, self._f, self._weights
+            rows = zip(fit, w)
         else:
             k, a = len(g), active.size
             # k contiguous rows of a values at the start of each buffer,
@@ -333,8 +335,14 @@ class _Criterion:
             y = w
             d, f, *weights = (row[None, :a] for row in self._packed)
             weights = weights[0] if weights else None
+            rows = zip(fit, w)
         np.multiply(g, f, out=fit)
         fit += d
+        # Packed rows keep D + g * f in the weights' rows, so it is made
+        # again once the routine has pooled them; a copy costs less than
+        # the column's broadcast product.
+        if y is not w:
+            np.copyto(y, fit)
         if weights is None:
             w.fill(1.0)
         else:
@@ -342,12 +350,12 @@ class _Criterion:
         # Each row is a C-contiguous float64 view, which pybind11 hands to
         # the routine as is, so it pools the row (and its weights) in place.
         # The routine writes r[0] and each r[b + 1] before reading them.
-        for row, row_w in zip(fit.reshape(-1, fit.shape[-1]), w.reshape(-1, w.shape[-1])):
+        for row, row_w in rows:
             _pava(row, row_w, self._r)
-        # D + g * f again, by the same operations and so bit for bit, once
-        # the weights are pooled: y may be their rows.
-        np.multiply(g, f, out=y)
-        y += d
+        if y is w:
+            # The same operations as above, so the same bits.
+            np.multiply(g, f, out=y)
+            y += d
         if mark_top:
             # Read off the unclipped fit: at gamma = 0 every point clips to
             # 0, so the clipped fit cannot tell the two ends apart.

@@ -48,6 +48,8 @@ _CHUNK_VALUES = 16_384
 
 # Threshold roots a criterion kernel keeps, oldest dropped first.
 _ROOT_MEMO = 16
+# The largest float below 1, where a Newton step that rounds up to 1 lands.
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 # Collapsed points below which a curve retires none: each look for settled
 # points, repacking and scatter costs a few numpy calls whatever the number
@@ -143,7 +145,7 @@ class StepCdf:
         object.__setattr__(self, "values", values)
         if jumps.ndim != 1 or jumps.shape != values.shape or jumps.size == 0:
             raise ValueError("jumps and values must be one-dimensional, equal length, non-empty")
-        if np.any(np.diff(jumps) <= 0.0):
+        if np.any(jumps[1:] <= jumps[:-1]):
             raise ValueError("jump locations must be strictly increasing")
         if np.any(np.diff(values) < -1e-12):
             raise ValueError("step values must be non-decreasing")
@@ -250,6 +252,9 @@ class _Criterion:
             ends = np.flatnonzero(np.append(new_run, True))
             self._weights = np.diff(ends, prepend=-1).astype(float)[None]
             values, ecdf, fb = values[ends], ecdf[ends], fb[ends]
+            # Read-only like the sample's own, since isotonized_cdf hands
+            # it out as a step function's jumps.
+            values.flags.writeable = False
         self.background = background
         self.values = values
         # D, f and the weights are one-row arrays, so that a 1 x 1 column
@@ -385,7 +390,7 @@ class _Criterion:
         """``S = n * criterion(gamma)**2`` and its right derivative in gamma, from one pass.
 
         With ``y = D + gamma * f``, the fit ``p`` and ``r = p - y``, the
-        derivative is ``2 * (sum_{x > gamma} w r - sum w r f)``, where ``x``
+        derivative is ``2 * sum w r (1{x > gamma} - f)``, where ``x``
         is the unclipped fit: within a block that is not clipped the
         weighted residuals sum to zero, and a block clipped at the top moves
         with gamma.  ``S`` is the total :meth:`_sums` gives, bit for bit.
@@ -394,7 +399,11 @@ class _Criterion:
         fit, y = self._project(gamma, mark_top=True)
         r = np.subtract(fit, y, out=y)
         wr = r if weights is None else np.multiply(r, weights, out=fit)
-        slope = 2.0 * (float(wr @ top) - float(wr @ f))
+        # Ufuncs in the pass's own rows, not a dot product, which BLAS may
+        # spread over threads on a long row.
+        np.subtract(top, f, out=top)
+        top *= wr
+        slope = 2.0 * float(np.add.reduce(top))
         sq = np.multiply(r, r, out=fit)
         # The totals of _totals, one row: a pairwise sum, or ``weights @ row``.
         return float(np.add.reduce(sq) if weights is None else weights @ sq), slope
@@ -406,12 +415,12 @@ class _Criterion:
         ``c`` is the criterion, with the right derivative ``c' = S' / (2 n
         c)`` of ``S = n c**2``.  ``c`` is convex and non-increasing, so each
         step lands on or below the root and the iterates rise to it.  Near
-        1, a step that should land just below 1 can round to 1; the step on
-        ``S - n * threshold**2``, shorter by ``(c + threshold) / (2 c)``, is
-        then taken instead.  The iteration stops at the first gamma within
-        the threshold (0 when the background alone fits), or when neither
-        step raises gamma below 1 in floating point, which leaves gamma
-        within rounding of the root.  A slope that is not negative can only
+        1, a step that should land just below 1 can round to 1; it then
+        lands on the largest float below 1 instead, which is within
+        rounding of the root.  The iteration stops at the first gamma within
+        the threshold (0 when the background alone fits), or when the step
+        does not raise gamma, which leaves gamma within rounding of the
+        root.  A slope that is not negative can only
         come from rounding there too, and also stops it.  So does a
         computed ``c`` that has not fallen over two steps in a row: each
         step lowers the exact ``c``, so ``c - threshold`` then sits at the
@@ -445,8 +454,10 @@ class _Criterion:
                 return gamma
             step = gamma - 2.0 * n * c * (c - threshold) / slope
             if not step < 1.0:
-                step = gamma - n * (c - threshold) * (c + threshold) / slope
-            if not gamma < step < 1.0:
+                # The exact step lands on or below the root, so the root
+                # lies within rounding of 1.
+                step = _BELOW_ONE
+            if not gamma < step:
                 return gamma
             gamma, last = step, c
             s, slope = self._sum_and_slope(gamma)
@@ -626,9 +637,16 @@ def isotonized_cdf(sample: SortedSample, background: KnownCdf, gamma: float) -> 
         raise ValueError("gamma must lie in (0, 1]")
     with _criterion(sample, background) as crit:
         x = crit.values
-        last = np.flatnonzero(np.append(x[1:] != x[:-1], True))
-        # Indexing copies the fit out of the buffer before the lock is released.
-        jumps, values = x[last], crit.fit(gamma)[last] / gamma
+        # Dividing or indexing copies the fit out of the buffer before the
+        # lock is released.
+        fit = crit.fit(gamma)
+        if (x[1:] > x[:-1]).all():
+            # Every collapsed point is a jump of its own, and the kernel's
+            # read-only values are the jumps.
+            jumps, values = x, fit / gamma
+        else:
+            last = np.flatnonzero(np.append(x[1:] != x[:-1], True))
+            jumps, values = x[last], fit[last] / gamma
     return StepCdf(jumps=jumps, values=values)
 
 

@@ -14,8 +14,11 @@ directly, not through the public :func:`scipy.optimize.isotonic_regression`.
 The public wrapper allocates and first-touches three fresh arrays on every
 call.  The mixture criterion (``mixture_core._Criterion``), which projects
 one vector length hundreds of times per fit, calls the routine itself on
-the rows of buffers it allocates once, a chunk of gammas per pass; here
-:func:`_isotonic` makes the one call of a single projection.
+the rows of buffers it allocates once, a chunk of gammas per pass.
+:func:`least_concave_majorant` also calls it itself, once, on the chord
+slopes and gaps it has just computed, which the routine pools in place; here
+:func:`_isotonic` makes the one call of :func:`isotonic_regression`, on a
+fresh copy of its input.
 
 The extension module is loaded from its file in scipy's ``optimize``
 directory rather than imported (``_compiled.load_compiled``), because
@@ -226,7 +229,8 @@ def least_concave_majorant(knots, values) -> PiecewiseLinearConcaveFn:
         raise ValueError("knots and values must be finite")
     with np.errstate(all="ignore"):
         dx = np.diff(x)
-        chords = np.diff(y) / dx
+        chords = np.diff(y)
+        chords /= dx
     if np.any(dx <= 0.0):
         raise ValueError("knots must be strictly increasing (ties rejected)")
     if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(chords))):
@@ -235,9 +239,13 @@ def least_concave_majorant(knots, values) -> PiecewiseLinearConcaveFn:
         return PiecewiseLinearConcaveFn(x, y)
 
     # Each pooled block's fitted slope is the chord between its end points,
-    # so the knots keep the input's values.
-    _, starts = _isotonic(-chords, dx)
-    at = np.append(starts, x.size - 1)
+    # so the knots keep the input's values.  The antitonic fit is the
+    # isotonic fit of the negated chords, which the routine pools in place
+    # with the gaps as weights; neither array is read again.  The routine
+    # writes r[0] and each r[b + 1] before reading them.
+    np.negative(chords, out=chords)
+    _, _, r, b = _pava(chords, dx, np.empty(x.size, dtype=np.intp))
+    at = np.append(r[:b], x.size - 1)
     kx, ky = x[at], y[at]
     # Pooled chords are finite, but the chord between two kept knots can
     # still overflow when their values span more than float64 holds.

@@ -662,6 +662,19 @@ def test_isotonized_cdf_collapses_ties():
     assert step.evaluate(0.1) == 0.0
 
 
+def test_isotonized_cdf_jumps_once_per_distinct_value_of_a_hand_built_sample():
+    # Tied values with ecdf values of their own: the kernel collapses no
+    # run, yet the step function jumps once at each distinct value.
+    s = SortedSample(values=[0.1, 0.1, 0.5, 0.9], ecdf=[0.25, 0.5, 0.75, 1.0])
+    assert mixture_core._Criterion(s, UNIF)._weights is None
+    for gamma in (0.3, 1.0):
+        step = isotonized_cdf(s, UNIF, gamma)
+        jumps, values = naive_isotonized_cdf(s, UNIF, gamma)
+        np.testing.assert_array_equal(step.jumps, [0.1, 0.5, 0.9])
+        np.testing.assert_array_equal(step.jumps, jumps)
+        np.testing.assert_allclose(step.values, values, rtol=0.0, atol=1e-12)
+
+
 # --- transform invariance --------------------------------------------------------
 
 
@@ -769,10 +782,14 @@ def test_root_is_the_smallest_feasible_gamma(projections, case, threshold):
 
 # Rounded to 3 decimals, n = 50: at c_n = 1e-3 the computed criterion is
 # flat to the last bit just below the root, where each Newton step rose by
-# an ulp of gamma and a root took 157 passes.
+# an ulp of gamma and a root took 157 passes.  At n = 20 000 and alpha =
+# 0.02, at c_n = 1e-30 and 1e-200, the step from gamma = 0.91 rounds up to
+# 1; a shorter step that only halved the distance to 1 each pass took a
+# root 22 passes.
 _CRAWL_CASES = {
     **_ROOT_CASES,
     "small_rounded_3": (lambda: SortedSample.from_data(np.round(stream(116, 61).random(50), 3)), UNIF),
+    "near_one": (lambda: beta_uniform_sample(20_000, 0.02, seed=50), UNIF),
 }
 
 

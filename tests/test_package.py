@@ -171,7 +171,10 @@ def test_pava_loader_falls_back_to_the_public_function(monkeypatch):
     def run():
         fits = [_isotonic(v, w) for v, w in inputs]
         curve = mixsep.criterion_curve(sample, uniform, 200).values
-        return fits, curve, mixsep.estimate_alpha_cn(sample, uniform, 0.5)
+        alpha = mixsep.estimate_alpha_cn(sample, uniform, 0.5)
+        # The majorant pools its chord slopes on the routine itself.
+        hull = mixsep.recover_signal(sample, uniform, alpha).fs_concave
+        return fits, curve, alpha, (hull.knots, hull.values)
 
     want = run()
     monkeypatch.setattr(shape_restricted, "_pava", public)
@@ -183,6 +186,9 @@ def test_pava_loader_falls_back_to_the_public_function(monkeypatch):
         assert starts.size < fit.size  # some values were pooled
     assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
     assert got[2] == want[2] > 0.0
+    for part, want_part in zip(got[3], want[3]):
+        assert np.array_equal(part.view(np.uint64), want_part.view(np.uint64))
+    assert 2 < got[3][0].size < sample.n
 
 
 BIT_FOR_BIT = """

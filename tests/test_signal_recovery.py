@@ -1,9 +1,11 @@
 """Signal CDF projection, concave majorant, density and local FDR."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mixsep.distributions import Beta, Normal, Uniform
-from mixsep.mixture_core import SortedSample
+from mixsep.mixture_core import SortedSample, default_cn, estimate_alpha_cn
 from mixsep.rng import stream
 from mixsep.shape_restricted import PiecewiseLinearConcaveFn
 from mixsep.signal_recovery import (
@@ -108,6 +110,31 @@ def test_recover_signal_bundles_consistent_pieces():
     assert est.alpha_used == 0.1
     np.testing.assert_allclose(est.fs_concave.evaluate(est.density.knots[-1]),
                                est.fs_concave.values[-1])
+
+
+@pytest.mark.parametrize("decimals", [None, 3])
+def test_recover_signal_copies_no_row_it_does_not_return(decimals):
+    x = beta_uniform_sample(20_000, 0.1, seed=22).values
+    s = SortedSample.from_data(x if decimals is None else np.round(x, decimals))
+    alpha = estimate_alpha_cn(s, UNIF, default_cn(s.n))
+    # A row of the collapsed points, the length of every array recovery
+    # makes.  Without ties the kernel has more than 16 384 points, so it
+    # allocates its buffers inside the call.
+    row = s._kernel.values.size * 8
+    tracemalloc.start()
+    try:
+        est = recover_signal(s, UNIF, alpha)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # At most six rows: the kernel's three and its block bounds beside the
+    # returned values, or the majorant's anchored copies, gaps, chords and
+    # block bounds beside the step values.  Copies of the jumps, of the fit
+    # and of the chords' operands took ten.
+    assert peak < 7 * row
+    # The distinct values are the jumps, shared with the kernel and read-only.
+    assert np.shares_memory(est.fs_step.jumps, s._kernel.values)
+    assert not est.fs_step.jumps.flags.writeable
 
 
 def test_recovered_cdf_close_to_truth():

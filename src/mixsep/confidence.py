@@ -13,9 +13,11 @@ slower than ``n**-0.5``.
 The guarantee assumes i.i.d. observations and, against a continuous
 background, untied data; neither is checked.  Both failures are
 anti-conservative.  At n = 1 000 and beta = 0.05, moving-average
-dependence (lag 20) cut the coverage of ``alpha_0`` to 0.21-0.44.  Pure
-uniforms rounded to 2 decimals were rejected as non-homogeneous on 10 of
-10 samples at n = 1e5.
+dependence (lag 20) cuts the coverage of ``alpha_0`` to 0.19-0.44, and
+block correlation (rho 0.5, blocks of 100) to 0.35-0.66: the
+``validation/dependence_*`` rows of the committed simulation record, 400
+replications each.  Pure uniforms rounded to 2 decimals were rejected as
+non-homogeneous on 10 of 10 samples at n = 1e5.
 """
 from __future__ import annotations
 

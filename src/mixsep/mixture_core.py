@@ -216,11 +216,10 @@ class _Criterion:
     sample's length is allocated per gamma or per chunk, and construction
     has already checked what the compiled routine needs (finite ``F_b``,
     positive run-length weights).  :meth:`curve` walks a grid chunk by
-    chunk, and :meth:`__call__` passes a 1 x 1 column kept here, so that
-    its value is a curve value bit for bit.  :meth:`fit` and each Newton
-    step of :meth:`root`, whose pass also returns the slope, hand the
-    kernel a float instead, which it projects on 1-D views of the first
-    rows, without the column's broadcasting.
+    chunk, and :meth:`__call__` is the curve at one gamma.  :meth:`fit`
+    and each Newton step of :meth:`root`, whose pass also returns the
+    slope, hand the kernel a float instead, which it projects on 1-D views
+    of the first rows, without the column's broadcasting.
 
     A curve of ``_RETIRE_POINTS`` collapsed points or more projects every
     point in its first chunk only.  Blocks only split as gamma rises, so a
@@ -257,12 +256,12 @@ class _Criterion:
             values.flags.writeable = False
         self.background = background
         self.values = values
-        # D, f and the weights are one-row arrays, so that a 1 x 1 column
-        # combines with arrays of its own rank; ``_row`` holds 1-D views.
+        # D, f and the weights are one-row arrays, so that a column of
+        # gammas combines with arrays of its own rank; ``_row`` holds 1-D
+        # views.
         self._d = (ecdf - fb)[None]
         self._f = fb[None]
         self._n = sample.n
-        self._gamma = np.empty((1, 1))
         self._lock = threading.Lock()
         # Roots found so far, by threshold, and the pass at gamma = 0 that
         # every Newton iteration starts from.
@@ -379,13 +378,6 @@ class _Criterion:
         # One dot product per row, as ``weights @ row`` computes it.
         return np.matmul(sq[:, None], self._weights.T).ravel()
 
-    def _sums(self, g: np.ndarray) -> np.ndarray:
-        """The fit's weighted residual sum of squares for a column ``g`` of at most one chunk."""
-        r, y = self._project(g)
-        r -= y
-        r *= r
-        return self._totals(r)
-
     def _sum_and_slope(self, gamma: float) -> tuple[float, float]:
         """``S = n * criterion(gamma)**2`` and its right derivative in gamma, from one pass.
 
@@ -393,7 +385,8 @@ class _Criterion:
         derivative is ``2 * sum w r (1{x > gamma} - f)``, where ``x``
         is the unclipped fit: within a block that is not clipped the
         weighted residuals sum to zero, and a block clipped at the top moves
-        with gamma.  ``S`` is the total :meth:`_sums` gives, bit for bit.
+        with gamma.  ``S`` is the total that :meth:`curve` takes at
+        ``gamma`` alone, bit for bit.
         """
         _, _, top, _, f, weights = self._row
         fit, y = self._project(gamma, mark_top=True)
@@ -444,7 +437,7 @@ class _Criterion:
         n = self._n
         gamma, last, flat = 0.0, math.inf, 0
         while True:
-            # The test __call__ makes, so that gamma = 0 is decided as by
+            # The value __call__ gives, so that gamma = 0 is decided as by
             # criterion(0) <= threshold, bit for bit.
             c = math.sqrt(s / n)
             if c <= threshold or not slope < 0.0:
@@ -482,8 +475,8 @@ class _Criterion:
         chunks project only the active ones, packed (:meth:`_retire`).
         Their squares go to full-length rows of ``self._y`` that hold 0.0
         at every retired point, so each total is taken over the same row as
-        before and every value is the one :meth:`__call__` gives, bit for
-        bit.  Projecting stops once no point is active.
+        before and every value is the one a projection of every point
+        gives, bit for bit.  Projecting stops once no point is active.
         """
         rows = len(self._y)
         sums = np.zeros(gammas.size)
@@ -603,8 +596,7 @@ class _Criterion:
         return active
 
     def __call__(self, gamma: float) -> float:
-        self._gamma[0, 0] = gamma
-        return math.sqrt(float(self._sums(self._gamma)[0]) / self._n)
+        return float(self.curve(np.array([float(gamma)]))[0])
 
 
 def _criterion(sample: SortedSample, background: KnownCdf) -> _Criterion:

@@ -16,9 +16,7 @@ call.  The mixture criterion (``mixture_core._Criterion``), which projects
 one vector length hundreds of times per fit, calls the routine itself on
 the rows of buffers it allocates once, a chunk of gammas per pass.
 :func:`least_concave_majorant` also calls it itself, once, on the chord
-slopes and gaps it has just computed, which the routine pools in place; here
-:func:`_isotonic` makes the one call of :func:`isotonic_regression`, on a
-fresh copy of its input.
+slopes and gaps it has just computed, which the routine pools in place.
 
 The extension module is loaded from its file in scipy's ``optimize``
 directory rather than imported (``_compiled.load_compiled``), because
@@ -73,24 +71,6 @@ def _load_pava():
 _pava = _load_pava()
 
 
-def _isotonic(values: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
-    """The weighted isotonic fit of ``values`` and its block starts.
-
-    Returns the fit, a fresh array, and the index at which each pooled
-    block starts (ascending, beginning with 0).  ``weights`` (positive,
-    finite, the length of ``values``) or ``None`` for uniform weights.  No
-    input is checked: callers pass finite values.
-    """
-    x = np.array(values, dtype=float)
-    w = np.ones(x.size) if weights is None else np.array(weights, dtype=float)
-    # The routine writes r[0] and each r[b + 1] before reading them, so r
-    # needs no fill.  pybind11 copies an input that is not a contiguous
-    # array of the declared dtype, so read the fit from what the routine
-    # returns.
-    x, _, r, b = _pava(x, w, np.empty(x.size + 1, dtype=np.intp))
-    return x, r[:b]
-
-
 def isotonic_regression(values, weights=None) -> np.ndarray:
     """Weighted least-squares isotonic regression.
 
@@ -130,14 +110,18 @@ def isotonic_regression(values, weights=None) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
     if weights is None:
-        w = None
+        w = np.ones(v.size)
     else:
-        w = np.asarray(weights, dtype=float)
+        w = np.array(weights, dtype=float)
         if w.shape != v.shape:
             raise ValueError("weights must match values in length")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("weights must be positive and finite")
-    return _isotonic(v, w)[0]
+    # The routine pools a fresh copy in place and writes r[0] and each
+    # r[b + 1] before reading them, so r needs no fill.  pybind11 copies an
+    # input that is not a contiguous array of the declared dtype, so read
+    # the fit from what the routine returns.
+    return _pava(v.copy(), w, np.empty(v.size + 1, dtype=np.intp))[0]
 
 
 @dataclass(frozen=True, eq=False)

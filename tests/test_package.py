@@ -154,7 +154,7 @@ def test_pava_loader_falls_back_to_the_public_function(monkeypatch):
     import scipy.optimize  # noqa: F401  (imported before its private module is hidden)
 
     from mixsep import mixture_core, shape_restricted
-    from mixsep.shape_restricted import _isotonic, _load_pava
+    from mixsep.shape_restricted import _load_pava
 
     monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
     monkeypatch.setitem(sys.modules, "scipy.optimize._pava_pybind", None)
@@ -169,7 +169,7 @@ def test_pava_loader_falls_back_to_the_public_function(monkeypatch):
     uniform = mixsep.Uniform(0.0, 1.0)
 
     def run():
-        fits = [_isotonic(v, w) for v, w in inputs]
+        fits = [mixsep.isotonic_regression(v, w) for v, w in inputs]
         curve = mixsep.criterion_curve(sample, uniform, 200).values
         alpha = mixsep.estimate_alpha_cn(sample, uniform, 0.5)
         # The majorant pools its chord slopes on the routine itself.
@@ -180,10 +180,9 @@ def test_pava_loader_falls_back_to_the_public_function(monkeypatch):
     monkeypatch.setattr(shape_restricted, "_pava", public)
     monkeypatch.setattr(mixture_core, "_pava", public)
     got = run()
-    for (fit, starts), (want_fit, want_starts) in zip(got[0], want[0]):
+    for fit, want_fit in zip(got[0], want[0]):
         assert np.array_equal(fit.view(np.uint64), want_fit.view(np.uint64))
-        assert np.array_equal(starts, want_starts)
-        assert starts.size < fit.size  # some values were pooled
+        assert np.any(fit[1:] == fit[:-1])  # some values were pooled
     assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
     assert got[2] == want[2] > 0.0
     for part, want_part in zip(got[3], want[3]):

@@ -1,4 +1,8 @@
 """Scenario generators and the replication runner."""
+import csv
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -195,3 +199,32 @@ def test_metrics_csv_layout():
     assert fields[0] == "cn:0.1"
     assert fields[-1] == "3"
     assert fields[5] == ""  # no coverage for a point estimator
+
+
+# The committed simulation record: each cell is a config, validation/<cell>.json,
+# beside what ``mixsep simulate --config validation/<cell>.json --out-prefix
+# validation/<cell>`` wrote from it.  Regenerating the record takes under a
+# minute and runs in its own CI job; these checks run no replication.
+VALIDATION = pathlib.Path(__file__).resolve().parent.parent / "validation"
+CELLS = sorted(p.stem for p in VALIDATION.glob("*.json") if not p.stem.endswith("_metrics"))
+
+
+def test_validation_record_holds_each_cell_and_nothing_else():
+    assert len(CELLS) == 23
+    outputs = {f"{cell}_metrics.{ext}" for cell in CELLS for ext in ("csv", "json")}
+    configs = {f"{cell}.json" for cell in CELLS}
+    assert {p.name for p in VALIDATION.iterdir()} == configs | outputs
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_validation_record_matches_its_config(cell):
+    cfg = ScenarioConfig.from_dict(json.loads((VALIDATION / f"{cell}.json").read_text()))
+    with open(VALIDATION / f"{cell}_metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["estimator"] for r in rows] == list(cfg.estimators)
+    assert all(int(r["reps"]) == cfg.replications for r in rows)
+    table = json.loads((VALIDATION / f"{cell}_metrics.json").read_text())
+    assert [r["estimator"] for r in table["rows"]] == list(cfg.estimators)
+    assert (table["scenario"], table["n"], table["alpha"], table["replications"],
+            table["base_seed"]) == (cfg.scenario, cfg.n, cfg.alpha, cfg.replications,
+                                    cfg.base_seed)

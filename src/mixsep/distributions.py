@@ -10,26 +10,29 @@ the estimators rely on.
 ``scipy.special`` and ``scipy.stats`` take longer to import, and hold more
 memory, than the rest of the package, so nothing here imports them before
 a method needs them.  The Uniform, Exponential and tabulated backgrounds
-need neither.  The normal CDF, the only scipy routine that a fit against
-a normal background calls, is the compiled ``ndtr`` ufunc loaded from
-``scipy/special/_special_ufuncs`` on the first call, without the
-``scipy.special`` package (``scipy.special.ndtr`` where that file is
-absent); it is the same ufunc, so the values are the same bit for bit.
-The normal quantile, every Student t, beta, Poisson and binomial method,
-and scenario A's t-test p-values (``sim_harness``) still import
-``scipy.special`` or ``scipy.stats`` on first use.
+need neither.  Every special function here is one of ``scipy.special``'s
+compiled ufuncs, taken on first use from ``_compiled.special_ufunc``,
+which loads the extension module that holds it without running the
+``scipy.special`` package ``__init__``: ``scipy/special/_special_ufuncs``
+where that module has the name (the normal CDF ``ndtr``, the only scipy
+routine that a fit against a normal background calls, among them), else
+``scipy/special/_ufuncs`` (the normal quantile, the Student t, beta,
+Poisson and binomial CDFs, and scenario A's t-test p-values in
+``sim_harness``).  It is the ufunc that ``scipy.special`` exports, so the
+values are the same bit for bit.  The Poisson and binomial quantiles, the
+Poisson atoms and the binomial mass function import ``scipy.stats`` on
+first use.
 """
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._compiled import load_compiled
+from ._compiled import special_ufunc
 from .rng import stream
 
 __all__ = [
@@ -58,15 +61,6 @@ def _prep(x):
 
 def _out(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
-
-
-@functools.cache
-def _ndtr():
-    """scipy's compiled standard normal CDF ufunc, ``scipy.special.ndtr``."""
-    ndtr = load_compiled("special", "_special_ufuncs", "ndtr")
-    if ndtr is None:
-        from scipy.special import ndtr
-    return ndtr
 
 
 def _resolve_rng(seed) -> np.random.Generator:
@@ -176,16 +170,14 @@ class Normal(KnownCdf):
             raise ValueError("normal requires sd > 0")
 
     def _cdf(self, x):
-        return _ndtr()((x - self.mean) / self.sd)
+        return special_ufunc("ndtr")((x - self.mean) / self.sd)
 
     def _density(self, x):
         z = (x - self.mean) / self.sd
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
 
     def _quantile(self, p):
-        from scipy import special
-
-        return self.mean + self.sd * special.ndtri(p)
+        return self.mean + self.sd * special_ufunc("ndtri")(p)
 
     def _sample(self, n, rng):
         return rng.normal(self.mean, self.sd, n)
@@ -204,25 +196,20 @@ class StudentT(KnownCdf):
             raise ValueError("t requires df > 0")
 
     def _cdf(self, x):
-        from scipy import special
-
-        return special.stdtr(self.df, x)
+        return special_ufunc("stdtr")(self.df, x)
 
     def _density(self, x):
-        from scipy import special
-
         k = self.df
-        lognorm = special.gammaln((k + 1.0) / 2.0) - special.gammaln(k / 2.0) - 0.5 * math.log(k * math.pi)
+        gammaln = special_ufunc("gammaln")
+        lognorm = gammaln((k + 1.0) / 2.0) - gammaln(k / 2.0) - 0.5 * math.log(k * math.pi)
         return np.exp(lognorm - ((k + 1.0) / 2.0) * np.log1p(x * x / k))
 
     def _quantile(self, p):
         # stdtrit alone is only good to ~1e-10 in x; one Newton step
         # against the exact CDF/density pair tightens it to float precision
-        from scipy import special
-
-        q = special.stdtrit(self.df, p)
+        q = special_ufunc("stdtrit")(self.df, p)
         dens = self._density(q)
-        return np.where(dens > 0.0, q - (special.stdtr(self.df, q) - p) / np.where(dens > 0.0, dens, 1.0), q)
+        return np.where(dens > 0.0, q - (self._cdf(q) - p) / np.where(dens > 0.0, dens, 1.0), q)
 
     def _sample(self, n, rng):
         return rng.standard_t(self.df, n)
@@ -244,17 +231,13 @@ class Beta(KnownCdf):
             raise ValueError("beta requires a > 0 and b > 0")
 
     def _cdf(self, x):
-        from scipy import special
-
-        return special.betainc(self.a, self.b, np.clip(x, 0.0, 1.0))
+        return special_ufunc("betainc")(self.a, self.b, np.clip(x, 0.0, 1.0))
 
     def _density(self, x):
-        from scipy import special
-
         out = np.zeros_like(x)
         inside = (x > 0.0) & (x < 1.0)
         xi = x[inside]
-        lognorm = special.betaln(self.a, self.b)
+        lognorm = special_ufunc("betaln")(self.a, self.b)
         out[inside] = np.exp((self.a - 1.0) * np.log(xi) + (self.b - 1.0) * np.log1p(-xi) - lognorm)
         # boundary limits so edge evaluations stay meaningful
         if self.a == 1.0:
@@ -268,9 +251,7 @@ class Beta(KnownCdf):
         return out
 
     def _quantile(self, p):
-        from scipy import special
-
-        return special.betaincinv(self.a, self.b, p)
+        return special_ufunc("betaincinv")(self.a, self.b, p)
 
     def _sample(self, n, rng):
         return rng.beta(self.a, self.b, n)
@@ -321,21 +302,17 @@ class Poisson(KnownCdf):
             raise ValueError("poisson requires rate > 0")
 
     def _cdf(self, x):
-        from scipy import special
-
         k = np.floor(x)
         out = np.zeros_like(x)
         ok = k >= 0.0
-        out[ok] = special.pdtr(k[ok], self.rate)
+        out[ok] = special_ufunc("pdtr")(k[ok], self.rate)
         return out
 
     def _density(self, x):
-        from scipy import special
-
         out = np.zeros_like(x)
         ints = (x >= 0.0) & (x == np.floor(x))
         k = x[ints]
-        out[ints] = np.exp(k * math.log(self.rate) - self.rate - special.gammaln(k + 1.0))
+        out[ints] = np.exp(k * math.log(self.rate) - self.rate - special_ufunc("gammaln")(k + 1.0))
         return out
 
     def _quantile(self, p):
@@ -365,21 +342,19 @@ class Binomial(KnownCdf):
     is_discrete = True
 
     def __post_init__(self):
-        if self.trials < 1 or int(self.trials) != self.trials:
+        if not math.isfinite(self.trials) or self.trials < 1 or int(self.trials) != self.trials:
             raise ValueError("binomial requires an integer trials >= 1")
         if not (0.0 <= self.prob <= 1.0):
             raise ValueError("binomial requires prob in [0, 1]")
         object.__setattr__(self, "trials", int(self.trials))
 
     def _cdf(self, x):
-        from scipy import special
-
         k = np.floor(x)
         out = np.zeros_like(x)
         out[k >= self.trials] = 1.0
         mid = (k >= 0.0) & (k < self.trials)
         if np.any(mid):
-            out[mid] = special.bdtr(k[mid], self.trials, self.prob)
+            out[mid] = special_ufunc("bdtr")(k[mid], self.trials, self.prob)
         return out
 
     def _density(self, x):
@@ -549,7 +524,7 @@ def parse_distribution(text: str) -> KnownCdf:
             raise ValueError(f"{family} takes {arity} parameter(s), got {len(params)}")
     if cls is Binomial:
         trials = params[0]
-        if int(trials) != trials:
+        if not math.isfinite(trials) or int(trials) != trials:
             raise ValueError("binomial trials must be an integer")
         return Binomial(int(trials), params[1])
     return cls(*params)

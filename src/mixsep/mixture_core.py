@@ -145,11 +145,12 @@ class StepCdf:
         object.__setattr__(self, "values", values)
         if jumps.ndim != 1 or jumps.shape != values.shape or jumps.size == 0:
             raise ValueError("jumps and values must be one-dimensional, equal length, non-empty")
-        if np.any(jumps[1:] <= jumps[:-1]):
+        # Each check is written so that a NaN fails it.
+        if np.isnan(jumps).any() or not (jumps[1:] > jumps[:-1]).all():
             raise ValueError("jump locations must be strictly increasing")
-        if np.any(np.diff(values) < -1e-12):
+        if not (np.diff(values) >= -1e-12).all():
             raise ValueError("step values must be non-decreasing")
-        if values[0] < -1e-12 or values[-1] > 1.0 + 1e-12:
+        if not (values[0] >= -1e-12 and values[-1] <= 1.0 + 1e-12):
             raise ValueError("step values must lie in [0, 1]")
 
     def evaluate(self, x):
@@ -188,7 +189,7 @@ class CriterionCurve:
             raise ValueError("a criterion curve needs at least 3 grid points")
         if second.shape != (gammas.size - 2,):
             raise ValueError("second_differences must cover exactly the interior grid points")
-        if np.any(values < -1e-12):
+        if not (values >= -1e-12).all():  # a NaN fails too
             raise ValueError("criterion values must be non-negative")
 
 

@@ -50,9 +50,10 @@ class MonotoneStepDensity:
         object.__setattr__(self, "values", values)
         if knots.ndim != 1 or values.ndim != 1 or knots.size != values.size + 1:
             raise ValueError("need one more knot than segment values")
-        if np.any(np.diff(knots) <= 0.0):
+        # Each check is written so that a NaN fails it.
+        if np.isnan(knots).any() or not (knots[1:] > knots[:-1]).all():
             raise ValueError("knots must be strictly increasing")
-        if values.size and (np.any(values < 0.0) or np.any(np.diff(values) > 1e-12)):
+        if not ((values >= 0.0).all() and (np.diff(values) <= 1e-12).all()):
             raise ValueError("density values must be non-negative and non-increasing")
 
     def evaluate(self, x):
@@ -88,9 +89,10 @@ class LfdrCurve:
         object.__setattr__(self, "values", values)
         if points.shape != values.shape or points.ndim != 1:
             raise ValueError("points and values must be one-dimensional and equal length")
-        if np.any(np.diff(points) < 0.0):
+        # Each check is written so that a NaN fails it.
+        if np.isnan(points).any() or not (points[1:] >= points[:-1]).all():
             raise ValueError("evaluation points must be non-decreasing")
-        if values.size and (values.min() < -1e-12 or values.max() > 1.0 + 1e-12):
+        if not ((values >= -1e-12) & (values <= 1.0 + 1e-12)).all():
             raise ValueError("lfdr values must lie in [0, 1]")
 
 

@@ -24,9 +24,10 @@ from io import StringIO
 
 import numpy as np
 
+from ._compiled import special_ufunc
 from ._validate import check_count
 from .confidence import lower_bound
-from .distributions import Beta, KnownCdf, Normal, Uniform, _ndtr
+from .distributions import Beta, KnownCdf, Normal, Uniform
 from .identifiability import essinf_density_ratio
 from .mixture_core import (
     NoElbowError,
@@ -186,8 +187,6 @@ def block_correlated_normals(n: int, draws: int, rho: float, block_size: int,
 
 def gen_scenario_a(cfg: ScenarioConfig, replication: int = 0) -> np.ndarray:
     """One replication of scenario A: ``n`` two-sided t-test p-values."""
-    from scipy import special
-
     rng = stream(cfg.base_seed, _NS_DATA, replication)
     n, j = cfg.n, cfg.j
     n_alt = round(cfg.alpha * n)
@@ -200,7 +199,7 @@ def gen_scenario_a(cfg: ScenarioConfig, replication: int = 0) -> np.ndarray:
     xbar = data.mean(axis=1)
     s2 = data.var(axis=1, ddof=1)
     t_stat = xbar / np.sqrt(s2 / j)
-    return 2.0 * special.stdtr(j - 1, -np.abs(t_stat))
+    return 2.0 * special_ufunc("stdtr")(j - 1, -np.abs(t_stat))
 
 
 def gen_scenario_b(cfg: ScenarioConfig, replication: int = 0) -> np.ndarray:
@@ -253,7 +252,7 @@ def scenario_b_signal_density(m_star: float):
     A standard normal shifted by a random magnitude Uniform(m*, m*+1) with
     random sign; the convolution has the closed form below.
     """
-    ndtr = _ndtr()
+    ndtr = special_ufunc("ndtr")
 
     def density(x):
         x = np.asarray(x, dtype=float)

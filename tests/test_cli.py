@@ -295,6 +295,15 @@ def test_bad_background_spec_is_input_error(data_csv, capsys):
     assert "bad distribution spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["binomial:inf,0.5", "binomial:1e400,0.5", "binomial:nan,0.5"])
+def test_non_finite_binomial_trials_are_input_errors(data_csv, capsys, spec):
+    assert main(["estimate", "--data", data_csv, "--background", spec]) == 2
+    assert "bad distribution spec" in capsys.readouterr().err
+    assert main(["identifiability", "--alpha", "0.3", "--signal", spec,
+                 "--background", "binomial:4,0.5"]) == 2
+    assert "binomial trials must be an integer" in capsys.readouterr().err
+
+
 def test_untabulated_beta_names_the_supported_levels(capsys):
     rc = main(["estimate", "--data", str(FIXTURES / "setting_ii_n5000.csv"),
                "--background", "uniform", "--beta", "0.07", "--skip-elbow"])

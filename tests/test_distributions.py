@@ -238,10 +238,18 @@ def test_parse_distribution_table(tmp_path):
     "uniform:a,b",        # not numbers
     "t",                  # df has no default
     "",
+    "binomial:inf,0.5",   # trials not a finite integer
+    "binomial:1e400,0.5",
 ])
 def test_parse_distribution_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_distribution(bad)
+
+
+@pytest.mark.parametrize("trials", [math.inf, math.nan, 2.5, 0])
+def test_binomial_rejects_trials_that_are_not_a_positive_integer(trials):
+    with pytest.raises(ValueError, match="integer trials"):
+        Binomial(trials, 0.5)
 
 
 def test_parse_distribution_bare_names_use_defaults():

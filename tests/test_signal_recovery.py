@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mixsep
 from mixsep.distributions import Beta, Normal, Uniform
 from mixsep.mixture_core import SortedSample, default_cn, estimate_alpha_cn
 from mixsep.rng import stream
@@ -187,3 +188,28 @@ def test_lfdr_low_for_tiny_p_values_under_strong_signal():
     curve = lfdr(np.array([0.002]), est.alpha_used, est.density, UNIF)
     # Beta(1,10) density at 0 is 10, so the posterior null odds are low
     assert curve.values[0] < 0.35
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mixsep.StepCdf(jumps=[0.1, 0.2, 0.3], values=[0.2, _NAN, 1.0]),
+    lambda: mixsep.StepCdf(jumps=[0.1, _NAN], values=[0.2, 1.0]),
+    lambda: mixsep.StepCdf(jumps=[_NAN], values=[0.5]),
+    lambda: mixsep.CriterionCurve(gammas=[0.25, 0.5, 0.75], values=[0.3, _NAN, 0.1],
+                                  second_differences=[0.0]),
+    lambda: mixsep.MonotoneStepDensity(knots=[0.0, _NAN, 1.0], values=[2.0, 1.0]),
+    lambda: mixsep.MonotoneStepDensity(knots=[_NAN], values=[]),
+    lambda: mixsep.MonotoneStepDensity(knots=[0.0, 0.5, 1.0], values=[_NAN, 1.0]),
+    lambda: mixsep.MonotoneStepDensity(knots=[0.0, 0.5, 1.0], values=[2.0, _NAN]),
+    lambda: mixsep.LfdrCurve(points=[0.1, _NAN, 0.3], values=[0.2, 0.5, 0.9]),
+    lambda: mixsep.LfdrCurve(points=[_NAN], values=[0.5]),
+    lambda: mixsep.LfdrCurve(points=[0.1, 0.2, 0.3], values=[0.2, _NAN, 0.9]),
+], ids=["step-value", "step-jump", "step-only-jump", "curve-value", "density-knot",
+        "density-only-knot", "density-first-value", "density-last-value", "lfdr-point",
+        "lfdr-only-point", "lfdr-value"])
+def test_result_types_reject_nan(make):
+    # Every ordering and range check is written so that a NaN fails it.
+    with pytest.raises(ValueError):
+        make()
